@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success / verification passed, 1 a verification check
 failed, 2 input error (unreadable file, invalid grid, bad declaration),
-3 resource bound exceeded.
+3 resource bound exceeded (the generator budget, or memory ran out).
 """
 
 import argparse
@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridInputError, GridResourceError
-from .generators import DEFAULT_MAX_GENERATORS, enumerate_all, generators_in_level
+from .generators import (
+    DEFAULT_MAX_GENERATORS,
+    # Unused here, but perfbench's traced run wraps this name in this module.
+    enumerate_all,  # noqa: F401
+    generators_in_level,
+    permutation_blocks,
+)
 from .gradings import GradingCalculator
 from .grids import corpus_case_path, corpus_path, count_components, load_grid
 from .homology import homology_ranks
@@ -154,11 +160,13 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
                   f"{group.poincare.format('m')}", file=out)
     else:
         calc = GradingCalculator(grid)
-        perms = enumerate_all(grid, max_generators=args.max_generators)
-        levels, level_counts = np.unique(calc.alex2_batch(perms),
-                                         return_counts=True)
-        report.generator_counts = {int(a): int(c)
-                                   for a, c in zip(levels, level_counts)}
+        counts = {}
+        for block in permutation_blocks(grid.n, args.max_generators):
+            levels, level_counts = np.unique(calc.alex2_batch(block),
+                                             return_counts=True)
+            for a, c in zip(levels, level_counts):
+                counts[int(a)] = counts.get(int(a), 0) + int(c)
+        report.generator_counts = dict(sorted(counts.items()))
         if args.hat:
             ranks = hat_ranks(grid, max_generators=args.max_generators,
                               threads=args.threads)
@@ -415,7 +423,8 @@ def _common_options(parser, suppress=False):
                              "value)")
     parser.add_argument("--max-generators", type=int,
                         default=defaults["max_generators"],
-                        help="abort any level larger than this many "
+                        help="abort (exit 3) any level, subcomplex or "
+                             "full n! pass over more than this many "
                              "generators")
 
 
@@ -490,6 +499,9 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
         code, report = COMMANDS[args.cmd](args, out)
     except GridResourceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
+        return 3
+    except MemoryError:
+        print("MemoryError: the computation ran out of memory", file=err)
         return 3
     except FileNotFoundError as exc:
         print(str(exc), file=err)

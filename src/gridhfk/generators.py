@@ -1,20 +1,26 @@
-"""Generator enumeration: full, single Alexander level, or bottom window.
+"""Generator enumeration: full stream, single Alexander level, or bottom window.
 
-Generators are permutations stored as (m, n) integer arrays, one row
-per generator, entry [i, c] being the row of the point on vertical
-circle c.  Level enumeration runs a branch and bound over columns: the
-doubled Alexander grading is a sum of independent per-point
-contributions, so partial assignments carry exact attainable bounds
-from the per-column minima and maxima over the rows still free.
+Generators are permutations stored as (m, n) arrays, one row per
+generator, entry [i, c] being the row of the point on vertical circle
+c.  Level and window enumeration return int64 arrays.  The full set of
+n! generators is never held at once: ``permutation_blocks`` streams it
+in lexicographic order as uint8 blocks of (n-1)! rows, one block per
+value of the first column, so a pass over all generators keeps one
+block plus whatever the caller selects from it.
+
+Level enumeration runs a branch and bound over columns: the doubled
+Alexander grading is a sum of independent per-point contributions, so
+partial assignments carry exact attainable bounds from the per-column
+minima and maxima over the rows still free.
 
 Every routine takes a generator budget and aborts with
-GridResourceError before materializing more than that many rows.
+GridResourceError once it would enumerate more than that many rows; the
+full stream checks n! against it before building any block.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 import numpy as np
 
@@ -30,17 +36,57 @@ def _as_calc(grid_or_calc):
     return GradingCalculator(grid_or_calc)
 
 
-def enumerate_all(grid_or_calc, max_generators=DEFAULT_MAX_GENERATORS):
-    """All n! generators as an (n!, n) array, in lexicographic order."""
-    calc = _as_calc(grid_or_calc)
-    n = calc.n
+def _lex_table(k):
+    """All k! permutations of range(k) as a uint8 (k!, k) array, lexicographic.
+
+    The table for k is built from the one for k - 1: the rows starting
+    with f are f followed by the smaller table with every entry >= f
+    raised by one, a map that keeps the lexicographic order.
+    """
+    table = np.zeros((1, 0), dtype=np.uint8, order="F")
+    for size in range(1, k + 1):
+        m = len(table)
+        grown = np.empty((size * m, size), dtype=np.uint8, order="F")
+        for f in range(size):
+            _prepend(table, f, grown[f * m:(f + 1) * m])
+        table = grown
+    return table
+
+
+def _prepend(table, f, out):
+    """Fill ``out`` with the rows f, then ``table`` with entries >= f raised."""
+    out[:, 0] = f
+    np.add(table, table >= f, out=out[:, 1:])
+    return out
+
+
+def permutation_blocks(n, max_generators=DEFAULT_MAX_GENERATORS):
+    """Iterator over all n! generators in lexicographic order, in blocks.
+
+    Block f is the uint8 ((n-1)!, n) array of the permutations whose
+    first entry is f, stored column-major so each column is contiguous
+    for the graders.  Raises GridResourceError, before building any
+    block, when n! exceeds the budget.
+    """
     total = math.factorial(n)
     if total > max_generators:
         raise GridResourceError(
             f"full enumeration of {total} generators exceeds the budget {max_generators}",
             estimate=total,
         )
-    return np.array(list(permutations(range(n))), dtype=np.int64)
+    return _blocks(n)
+
+
+def _blocks(n):
+    table = _lex_table(n - 1)
+    for f in range(n):
+        yield _prepend(table, f, np.empty((len(table), n), dtype=np.uint8,
+                                          order="F"))
+
+
+def enumerate_all(grid_or_calc, max_generators=DEFAULT_MAX_GENERATORS):
+    """All n! generators as one uint8 (n!, n) array, in lexicographic order."""
+    return np.concatenate(list(permutation_blocks(grid_or_calc.n, max_generators)))
 
 
 def _branch_and_bound(calc, lo, hi, max_generators):

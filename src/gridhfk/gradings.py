@@ -101,21 +101,33 @@ class GradingCalculator:
         return self.maslov2(perm), self.alex2(perm)
 
     def alex2_batch(self, perms):
-        """alex2 for an (m, n) array of permutations."""
-        cols = np.arange(self.n)
-        return self.fa[cols, perms].sum(axis=1) + self.alex_const
+        """alex2 for an (m, n) array of permutations (any integer dtype)."""
+        total = np.full(len(perms), self.alex_const, dtype=np.int64)
+        for c in range(self.n):
+            total += self.fa[c][perms[:, c]]
+        return total
 
     def maslov2_batch(self, perms):
-        """maslov2 for an (m, n) array of permutations."""
+        """maslov2 for an (m, n) array of permutations (any integer dtype).
+
+        Works column by column on contiguous columns (views of a
+        column-major array, copies otherwise), so the largest temporary
+        is one column, never an (m, n) int64 array.  The count of
+        increasing pairs, at most n(n-1)/2, fits an int16 accumulator
+        for n <= 256.
+        """
         n = self.n
-        ixx = np.zeros(len(perms), dtype=np.int64)
+        cols = [np.ascontiguousarray(perms[:, c]) for c in range(n)]
+        ixx = np.zeros(len(perms), dtype=np.int16)
+        fm = np.full(len(perms), self.maslov_const, dtype=np.int64)
         for c1 in range(n):
-            col1 = perms[:, c1]
+            col1 = cols[c1]
             for c2 in range(c1 + 1, n):
-                ixx += col1 < perms[:, c2]
-        cols = np.arange(n)
-        fm = self.fm[cols, perms].sum(axis=1)
-        return 2 * ixx + fm + self.maslov_const
+                ixx += col1 < cols[c2]
+            fm += self.fm[c1][col1]
+        fm += ixx
+        fm += ixx  # 2 * ixx, with no int64 temporary
+        return fm
 
     def level_floor(self):
         """A lower bound for alex2 over all generators (relaxed assignment)."""

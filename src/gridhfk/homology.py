@@ -15,7 +15,10 @@ with the image intersected against the subcomplex coordinates by an
 elimination whose bit order lists subcomplex generators first.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
-vanishes there and the induced map contributes nothing.
+vanishes there and the induced map contributes nothing.  The full
+complex is read by streaming all n! generators in blocks and keeping
+only the Maslov slices that this computation images, so its memory
+scales with those slices and not with n!.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .errors import InconsistentComplex, NotDivisible
 from .generators import (
     DEFAULT_MAX_GENERATORS,
     encode_perms,
-    enumerate_all,
+    # Unused here, but perfbench's traced run wraps this name in this module.
+    enumerate_all,  # noqa: F401
     generators_in_level,
     generators_up_to,
+    permutation_blocks,
 )
 from .gradings import GradingCalculator
 from .rectangles import MODE_FILTERED, MODE_LEVEL, RectangleCounter, boundary_entries
@@ -304,8 +309,11 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
 
     Per Maslov slice m2 the contribution is dim Z_S - dim(Z_S meet B),
     where B is the image of the full filtered boundary from slice
-    m2 + 2.  The full slices are materialized only for the m2 values
-    where Z_S is nonzero and the target homology can be nonzero.
+    m2 + 2.  The needed m2 are those where Z_S is nonzero and the target
+    homology can be nonzero.  All n! generators are streamed in
+    lexicographic uint8 blocks and Maslov-graded block by block; only
+    the rows of the needed slices and of the slices m2 + 2 above them
+    are kept, so the working set is one block plus those slices.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
@@ -323,8 +331,17 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
     if not needed:
         return 0
 
-    all_gens = enumerate_all(calc, max_generators)
-    all_m2 = calc.maslov2_batch(all_gens)
+    kept = np.array(sorted(set(needed) | {m2 + 2 for m2 in needed}))
+    kept_gens = []
+    kept_m2 = []
+    for block in permutation_blocks(calc.n, max_generators):
+        m2 = calc.maslov2_batch(block)
+        mask = np.isin(m2, kept)
+        kept_gens.append(block[mask])
+        kept_m2.append(m2[mask])
+    # Kept rows stay in lexicographic order; rectangles needs int64 rows.
+    all_gens = np.concatenate(kept_gens).astype(np.int64)
+    all_m2 = np.concatenate(kept_m2)
 
     sub_keys = set(int(k) for k in encode_perms(filt.gens, calc.n))
 

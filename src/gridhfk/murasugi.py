@@ -220,15 +220,29 @@ def _resolve_grid(ref: str, base: Path) -> GridDiagram:
     return load_grid(base / ref)
 
 
+def _int_field(obj: dict, key: str, label: str) -> int:
+    value = obj.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GridInputError(f"{label}: '{key}' must be an integer, "
+                             f"got {value!r}")
+    return value
+
+
 def _load_side(obj: dict, base: Path, label: str) -> CaseSide | None:
+    if not isinstance(obj, dict):
+        raise GridInputError(f"{label}: must be a JSON object, "
+                             f"got {type(obj).__name__}")
     if "grid" in obj:
+        if not isinstance(obj["grid"], str):
+            raise GridInputError(f"{label}: 'grid' must be a string")
         grid = _resolve_grid(obj["grid"], base)
     elif obj.get("construct") == "connected_sum":
         return None  # built later from the summands
     else:
         raise GridInputError(f"{label}: need a 'grid' reference or "
                              f"'construct': 'connected_sum'")
-    return CaseSide(grid, int(obj["index2"]), obj.get("name", label))
+    return CaseSide(grid, _int_field(obj, "index2", label),
+                    obj.get("name", label))
 
 
 def load_case(path) -> tuple[MurasugiCase, dict]:
@@ -239,23 +253,27 @@ def load_case(path) -> tuple[MurasugiCase, dict]:
                                            "index2": int, "name": str},
              "expect": {"theorem1": bool, "theorem2": bool}}  (optional)
     The sum of a two-sided case may use {"construct": "connected_sum",
-    "index2": int} instead of a grid reference.
+    "index2": int} instead of a grid reference.  A file that does not
+    fit the schema raises GridInputError.
     """
     path = Path(path)
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise GridInputError(f"{path.name}: a case file must hold a JSON "
+                             f"object, got {type(data).__name__}")
     base = path.parent
-    s1 = _load_side(data["summand1"], base, "summand1")
-    s2 = _load_side(data["summand2"], base, "summand2")
+    s1 = _load_side(data.get("summand1"), base, "summand1")
+    s2 = _load_side(data.get("summand2"), base, "summand2")
     if s1 is None or s2 is None:
         raise GridInputError("summands must reference explicit grids")
-    total = _load_side(data["sum"], base, "sum")
-    sides = int(data["polygon_sides"])
+    total = _load_side(data.get("sum"), base, "sum")
+    sides = _int_field(data, "polygon_sides", path.name)
     if total is None:
         if sides != 2:
             raise GridInputError("connected-sum construction needs "
                                  "polygon_sides = 2")
         grid = connected_sum(s1.grid, s2.grid)
-        total = CaseSide(grid, int(data["sum"]["index2"]),
+        total = CaseSide(grid, _int_field(data["sum"], "index2", "sum"),
                          data["sum"].get("name", "sum"))
     case = MurasugiCase(data.get("name", path.stem), sides, s1, s2, total)
     return case, data.get("expect", {})

@@ -134,6 +134,43 @@ def test_murasugi_without_input_is_exit_2():
     assert "case file or --connect" in err
 
 
+def test_murasugi_top_level_list_case_is_exit_2(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    code, _, err = invoke("murasugi", str(bad))
+    assert code == 2
+    assert "GridInputError" in err and "JSON object" in err
+
+
+def test_murasugi_null_index2_case_is_exit_2(tmp_path):
+    bad = tmp_path / "null_index.json"
+    bad.write_text(json.dumps({
+        "name": "x", "polygon_sides": 2,
+        "summand1": {"index2": None, "grid": "corpus:unknot2.grid"},
+        "summand2": {"grid": "corpus:unknot2.grid", "index2": 0},
+        "sum": {"construct": "connected_sum", "index2": 0},
+    }))
+    code, _, err = invoke("murasugi", str(bad))
+    assert code == 2
+    assert "GridInputError" in err and "index2" in err
+
+
+def test_memory_error_is_exit_3(monkeypatch):
+    import gridhfk.cli
+    import gridhfk.homology
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(gridhfk.cli, "permutation_blocks", no_memory)
+    monkeypatch.setattr(gridhfk.homology, "permutation_blocks", no_memory)
+    for argv in (["compute", "corpus:trefoil5"],
+                 ["murasugi", "corpus:hopf_plumbing_trefoil"]):
+        code, _, err = invoke(*argv)
+        assert code == 3
+        assert err.startswith("MemoryError") and err.count("\n") == 1
+
+
 def test_murasugi_json_report():
     code, out, _ = invoke("--json", "murasugi", "corpus:trefoil_connected_sum")
     assert code == 0

@@ -7,13 +7,30 @@ import numpy as np
 import pytest
 
 from gridhfk.errors import GridResourceError
-from gridhfk.generators import enumerate_all, generators_in_level, generators_up_to
+from gridhfk.generators import (
+    encode_perms,
+    enumerate_all,
+    generators_in_level,
+    generators_up_to,
+    permutation_blocks,
+)
 from gridhfk.gradings import GradingCalculator
 from gridhfk.grids import load_corpus, make_grid
-from gridhfk.homology import build_level_complex, homology_ranks, verify_d2
-from gridhfk.rectangles import RectangleCounter, rectangle_census
+from gridhfk.homology import (
+    build_level_complex,
+    homology_ranks,
+    induced_map_rank,
+    verify_d2,
+)
+from gridhfk.rectangles import (
+    MODE_FILTERED,
+    MODE_LEVEL,
+    RectangleCounter,
+    boundary_entries,
+    rectangle_census,
+)
 
-from oracle import oracle_boundary_pairs, oracle_rectangles
+from oracle import oracle_boundary_pairs, oracle_inclusion_rank, oracle_rectangles
 
 from test_grids import random_grid
 
@@ -71,6 +88,26 @@ def test_resource_guard_trips():
     g = load_corpus("torus_2_5_7")
     with pytest.raises(GridResourceError):
         enumerate_all(g, max_generators=100)
+
+
+def test_permutation_blocks_are_lexicographic_uint8():
+    for n in range(1, 8):
+        blocks = list(permutation_blocks(n))
+        assert len(blocks) == n
+        for f, block in enumerate(blocks):
+            assert block.dtype == np.uint8
+            assert block.shape == (factorial(n - 1), n)
+            assert np.all(block[:, 0] == f)
+        rows = [tuple(int(v) for v in p) for p in np.concatenate(blocks)]
+        assert rows == list(permutations(range(n)))
+
+
+def test_permutation_blocks_budget_trips_before_any_block():
+    # The check runs when the iterator is made, not when it is first read.
+    with pytest.raises(GridResourceError) as info:
+        permutation_blocks(7, max_generators=factorial(7) - 1)
+    assert info.value.estimate == factorial(7)
+    assert len(list(permutation_blocks(7, max_generators=factorial(7)))) == 7
 
 
 # --------------------------------------------------------------------------
@@ -211,3 +248,56 @@ def test_euler_characteristic_symmetry_for_knots():
 def test_threads_do_not_change_results():
     g = load_corpus("figure_eight6")
     assert homology_ranks(g, threads=1) == homology_ranks(g, threads=4)
+
+
+# --------------------------------------------------------------------------
+# streamed full passes on uint8 blocks
+
+
+def test_batch_gradings_on_uint8_blocks_match_scalar():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        g = random_grid(rng, int(rng.integers(2, 8)))
+        calc = GradingCalculator(g)
+        for block in permutation_blocks(g.n):
+            rows = block[rng.choice(len(block), size=min(len(block), 15),
+                                    replace=False)]
+            m2 = calc.maslov2_batch(rows)
+            a2 = calc.alex2_batch(rows)
+            for i, p in enumerate(rows.tolist()):
+                assert (m2[i], a2[i]) == calc.gradings(p)
+
+
+def test_boundary_entries_same_for_int64_and_cast_kept_rows():
+    rng = np.random.default_rng(30)
+    for _ in range(6):
+        g = random_grid(rng, int(rng.integers(4, 7)))
+        calc = GradingCalculator(g)
+        counter = RectangleCounter(g)
+        reference = np.array(list(permutations(range(g.n))), dtype=np.int64)
+        ref_m2 = calc.maslov2_batch(reference)
+        m2 = int(np.median(ref_m2)) // 2 * 2
+        kept = np.concatenate([b[calc.maslov2_batch(b) == m2]
+                               for b in permutation_blocks(g.n)])
+        kept = kept.astype(np.int64)
+        assert len(kept) and np.array_equal(kept, reference[ref_m2 == m2])
+        targets = reference[ref_m2 == m2 - 2]
+        lookup = {int(k): i for i, k in enumerate(encode_perms(targets, g.n))}
+        for mode in (MODE_LEVEL, MODE_FILTERED):
+            want = boundary_entries(counter, reference[ref_m2 == m2],
+                                    lookup, mode)
+            got = boundary_entries(counter, kept, lookup, mode)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_induced_map_rank_matches_oracle_at_every_cutoff():
+    """Also guards the Maslov window [-2(n-1), 0] outside which slices
+    are skipped."""
+    rng = np.random.default_rng(31)
+    for n in [3] * 6 + [4] * 7 + [5] * 6 + [6]:
+        g = random_grid(rng, n)
+        calc = GradingCalculator(g)
+        for cutoff in range(calc.level_floor(), calc.level_ceiling() + 1):
+            want = oracle_inclusion_rank(g.x_cols, g.o_cols, cutoff)
+            assert induced_map_rank(g, cutoff) == want, (g, cutoff)

@@ -419,8 +419,8 @@ def _common_options(parser, suppress=False):
                         default=defaults["json"],
                         help="emit the full JSON run report on stdout")
     parser.add_argument("--threads", type=int, default=defaults["threads"],
-                        help="worker threads (results are identical for any "
-                             "value)")
+                        help="worker threads of the murasugi theorem checks "
+                             "(results are identical for any value)")
     parser.add_argument("--max-generators", type=int,
                         default=defaults["max_generators"],
                         help="abort (exit 3) any level, subcomplex or "

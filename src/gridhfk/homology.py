@@ -5,6 +5,14 @@ generators of that level with the boundary counting rectangles empty of
 all markings; it splits along maslov2 into blocks mapping m2 -> m2 - 2,
 so ranks per bigrading fall out of two sparse eliminations per block.
 
+The full table is built in one pass: all n! generators are streamed in
+lexicographic uint8 blocks, each block is bucketed by alex2 with a
+stable sort (so every bucket stays lexicographic), and each non-empty
+level is cast to int64 on its own and handed to the level complex
+builder.  Empty levels, the odd ones among them, are never visited.
+Callers that need only a few levels (the bottom scan, the two-step
+subcomplex) enumerate them with the branch and bound instead.
+
 The filtered boundary (X markings allowed) never raises alex2, so the
 generators at or below a cutoff span a subcomplex.  The rank of the map
 on homology induced by its inclusion is computed per Maslov slice as
@@ -23,7 +31,9 @@ scales with those slices and not with n!.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Unused here, but perfbench's traced run swaps this name in this module
+# for a pool that propagates spans; it raises KeyError when it is missing.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,19 +74,22 @@ class LevelComplex:
 
 
 def _canonical_order(gens, maslov2):
-    """Sort by maslov2 then lexicographic permutation."""
-    if len(gens) == 0:
-        return gens, maslov2
-    keys = [gens[:, c] for c in reversed(range(gens.shape[1]))]
-    order = np.lexsort(keys + [maslov2])
+    """Sort lexicographic generators by maslov2, keeping their order within."""
+    order = np.argsort(maslov2, kind="stable")
     return gens[order], maslov2[order]
 
 
 def build_level_complex(grid, alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                        calc=None, counter=None, check_d2=False):
+                        calc=None, counter=None, check_d2=False, gens=None):
+    """The level complex at alex2.
+
+    ``gens``, when given, are all int64 generators of that level in
+    lexicographic order, and enumeration is skipped.
+    """
     calc = calc or GradingCalculator(grid)
     counter = counter or RectangleCounter(grid)
-    gens = generators_in_level(calc, alex2, max_generators)
+    if gens is None:
+        gens = generators_in_level(calc, alex2, max_generators)
     m2 = calc.maslov2_batch(gens) if len(gens) else np.empty(0, dtype=np.int64)
     gens, m2 = _canonical_order(gens, m2)
     lookup = {int(k): i for i, k in enumerate(encode_perms(gens, calc.n))} if len(gens) else {}
@@ -109,33 +122,31 @@ def level_homology_ranks(lc):
     if lc.is_empty:
         return {}
     values, starts = np.unique(lc.maslov2, return_index=True)
-    index_of = {int(v): i for i, v in enumerate(values)}
     sizes = np.diff(np.append(starts, len(lc.maslov2)))
-    offsets = {int(v): int(starts[i]) for i, v in enumerate(values)}
 
-    block_entries = {int(v): ([], []) for v in values}
-    for r, c in zip(lc.rows, lc.cols):
-        m2 = int(lc.maslov2[int(c)])
-        br, bc = block_entries[m2]
-        br.append(int(r) - offsets[m2 - 2])
-        bc.append(int(c) - offsets[m2])
+    # Entries bucketed by the block of their source, in one stable sort.
+    src_block = np.searchsorted(values, lc.maslov2[lc.cols])
+    order = np.argsort(src_block, kind="stable")
+    src_block = src_block[order]
+    cols = lc.cols[order] - starts[src_block]
+    tgt_block = np.searchsorted(values, values[src_block] - 2)
+    rows = lc.rows[order] - starts[tgt_block]
+    bounds = np.searchsorted(src_block, np.arange(len(values) + 1))
 
     block_rank = {}
-    for v in block_entries:
-        br, bc = block_entries[v]
-        if not br:
-            block_rank[v] = 0
+    for i, v in enumerate(values.tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
             continue
-        n_rows = int(sizes[index_of[v - 2]])
-        n_cols = int(sizes[index_of[v]])
-        block_rank[v] = gf2.matrix_rank(br, bc, n_rows, n_cols)
+        n_rows = int(sizes[tgt_block[lo]])
+        block_rank[v] = gf2.matrix_rank(rows[lo:hi], cols[lo:hi], n_rows,
+                                        int(sizes[i]))
 
     ranks = {}
-    for i, v in enumerate(values):
-        m2 = int(v)
-        r = int(sizes[i]) - block_rank.get(m2, 0) - block_rank.get(m2 + 2, 0)
+    for i, v in enumerate(values.tolist()):
+        r = int(sizes[i]) - block_rank.get(v, 0) - block_rank.get(v + 2, 0)
         if r:
-            ranks[m2] = r
+            ranks[v] = r
     return ranks
 
 
@@ -209,33 +220,32 @@ def deflate_to_hat(tilde, k_minus_l):
     return BigradedRanks(ranks)
 
 
-def homology_ranks(grid, levels=None, max_generators=DEFAULT_MAX_GENERATORS,
-                   threads=1, check_d2=False):
-    """Tilde homology ranks, for all levels or a chosen subset."""
+def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1,
+                   check_d2=False):
+    """Tilde homology ranks of every level, from one pass over n! states.
+
+    Each streamed block is bucketed by alex2 in uint8; a level is cast
+    to int64 only while its complex is built, so the peak holds the
+    uint8 buckets plus one level.  ``threads`` is accepted and ignored:
+    the levels run in sequence, and results do not depend on it.
+    """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
-    if levels is None:
-        levels = range(calc.level_floor(), calc.level_ceiling() + 1)
-    levels = sorted(set(int(s) for s in levels))
-
-    def one(s):
-        lc = build_level_complex(grid, s, max_generators, calc=calc,
-                                 counter=counter, check_d2=check_d2)
-        return s, level_homology_ranks(lc)
-
-    results = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for s, ranks in pool.map(one, levels):
-                results[s] = ranks
-    else:
-        for s in levels:
-            s, ranks = one(s)
-            results[s] = ranks
+    buckets = {}
+    for block in permutation_blocks(calc.n, max_generators):
+        a2 = calc.alex2_batch(block)
+        order = np.argsort(a2, kind="stable")
+        levels, starts = np.unique(a2[order], return_index=True)
+        bounds = np.append(starts, len(order))
+        for i, s in enumerate(levels.tolist()):
+            buckets.setdefault(s, []).append(block[order[bounds[i]:bounds[i + 1]]])
 
     out = {}
-    for s in sorted(results):
-        for m2, r in results[s].items():
+    for s in sorted(buckets):
+        gens = np.concatenate(buckets.pop(s)).astype(np.int64)
+        lc = build_level_complex(grid, s, max_generators, calc=calc,
+                                 counter=counter, check_d2=check_d2, gens=gens)
+        for m2, r in level_homology_ranks(lc).items():
             out[(m2, s)] = r
     return BigradedRanks(out)
 

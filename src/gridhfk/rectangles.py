@@ -15,6 +15,10 @@ crossed, which is zero in the level-preserving case.
 
 Marking counts inside cyclic rectangles come from prefix sums over a
 doubled board, evaluated in bulk for a whole array of generators.
+Boundary entries are assembled without a per-entry loop: the targets
+of each (ci, cj) rectangle are found among the sorted target keys with
+``np.searchsorted``, and the multiplicity of every (source, target)
+pair is reduced mod 2 with ``np.unique(..., return_counts=True)``.
 """
 
 from __future__ import annotations
@@ -94,20 +98,29 @@ def boundary_entries(counter, sources, target_lookup, mode,
 
     ``target_lookup`` maps encoded permutations to row indices of the
     target basis; rectangles landing outside it are dropped, which is
-    how level and Maslov-slice restrictions are imposed.  Returns
-    (target_rows, source_cols) index arrays with multiplicity already
-    reduced mod 2 (the two rectangles of a transposition are distinct
-    rectangles, each contributing one entry; coincidences cancel).
+    how level and Maslov-slice restrictions are imposed.  Sources must
+    be a signed integer array (int64), since the target keys are built
+    from row differences.  Returns (target_rows, source_cols) index
+    arrays with multiplicity already reduced mod 2 (the two rectangles
+    of a transposition are distinct rectangles, each contributing one
+    entry; coincidences cancel), ordered by source, then target.
     """
     n = counter.n
     m = len(sources)
-    rows = []
-    cols = []
-    if m == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if m == 0 or not target_lookup:
+        return empty
+    keys = np.fromiter(target_lookup.keys(), dtype=np.int64,
+                       count=len(target_lookup))
+    index = np.fromiter(target_lookup.values(), dtype=np.int64,
+                        count=len(target_lookup))
+    order = np.argsort(keys)
+    keys = keys[order]
+    index = index[order]
     weights = n ** np.arange(n, dtype=np.int64)
     base_keys = sources @ weights
-    pair_count = {}
+    hit_targets = []
+    hit_sources = []
     for ci in range(n):
         for cj in range(n):
             if ci == cj:
@@ -118,17 +131,18 @@ def boundary_entries(counter, sources, target_lookup, mode,
                 continue
             a = sources[idx, ci]
             b = sources[idx, cj]
-            keys = base_keys[idx] + (b - a) * weights[ci] + (a - b) * weights[cj]
-            for src, key in zip(idx, keys):
-                tgt = target_lookup.get(int(key))
-                if tgt is not None:
-                    pair = (tgt, int(src))
-                    pair_count[pair] = pair_count.get(pair, 0) + 1
-    for (tgt, src), cnt in pair_count.items():
-        if cnt % 2 == 1:
-            rows.append(tgt)
-            cols.append(src)
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+            moved = base_keys[idx] + (b - a) * weights[ci] + (a - b) * weights[cj]
+            pos = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
+            found = keys[pos] == moved
+            hit_targets.append(index[pos[found]])
+            hit_sources.append(idx[found])
+    if not hit_targets:
+        return empty
+    span = int(index.max()) + 1
+    pairs = np.concatenate(hit_sources) * span + np.concatenate(hit_targets)
+    pairs, counts = np.unique(pairs, return_counts=True)
+    pairs = pairs[counts % 2 == 1]
+    return pairs % span, pairs // span
 
 
 def rectangle_census(counter, perm, ci, cj):

@@ -1,11 +1,15 @@
 """Level complexes: differentials, partitions, and structural laws."""
 
+import io
+import json
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 import pytest
 
+from gridhfk import homology
+from gridhfk.cli import run
 from gridhfk.errors import GridResourceError
 from gridhfk.generators import (
     encode_perms,
@@ -20,6 +24,7 @@ from gridhfk.homology import (
     build_level_complex,
     homology_ranks,
     induced_map_rank,
+    level_homology_ranks,
     verify_d2,
 )
 from gridhfk.rectangles import (
@@ -30,7 +35,12 @@ from gridhfk.rectangles import (
     rectangle_census,
 )
 
-from oracle import oracle_boundary_pairs, oracle_inclusion_rank, oracle_rectangles
+from oracle import (
+    oracle_boundary_pairs,
+    oracle_inclusion_rank,
+    oracle_rectangles,
+    oracle_tilde_ranks,
+)
 
 from test_grids import random_grid
 
@@ -301,3 +311,55 @@ def test_induced_map_rank_matches_oracle_at_every_cutoff():
         for cutoff in range(calc.level_floor(), calc.level_ceiling() + 1):
             want = oracle_inclusion_rank(g.x_cols, g.o_cols, cutoff)
             assert induced_map_rank(g, cutoff) == want, (g, cutoff)
+
+
+# --------------------------------------------------------------------------
+# the full table in one bucketed pass
+
+
+def test_one_pass_table_matches_oracle_and_per_level_complexes():
+    """The bucketed pass against the oracle and against the branch and
+    bound at every level from the floor to the ceiling."""
+    rng = np.random.default_rng(33)
+    components = set()
+    for n in (2, 3, 3, 4, 4, 5, 5, 5, 6, 6):
+        g = random_grid(rng, n)
+        calc = GradingCalculator(g)
+        components.add(calc.components)
+        table = homology_ranks(g).ranks
+        assert table == oracle_tilde_ranks(g.x_cols, g.o_cols), g
+        per_level = {}
+        for a2 in range(calc.level_floor(), calc.level_ceiling() + 1):
+            for m2, r in level_homology_ranks(build_level_complex(g, a2)).items():
+                per_level[(m2, a2)] = r
+        assert table == per_level, g
+    assert max(components) > 1  # links are among the grids
+
+
+def test_one_pass_table_generator_counts_sum_to_n_factorial():
+    for name in ("hopf_plus4", "trefoil5", "figure_eight6"):
+        out = io.StringIO()
+        assert run(["--json", "compute", f"corpus:{name}"], out=out) == 0
+        counts = json.loads(out.getvalue())["generator_counts"]
+        n = load_corpus(name).n
+        assert sum(counts.values()) == factorial(n), name
+
+
+def test_one_pass_level_complex_from_given_gens_skips_enumeration(monkeypatch):
+    g = load_corpus("trefoil5")
+    calc = GradingCalculator(g)
+    want = {}
+    gens = {}
+    for a2 in range(calc.level_floor(), calc.level_ceiling() + 1):
+        lc = build_level_complex(g, a2)
+        want[a2] = (lc.gens, lc.maslov2, lc.rows, lc.cols)
+        gens[a2] = generators_in_level(g, a2)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("gens= must skip level enumeration")
+
+    monkeypatch.setattr(homology, "generators_in_level", no_enumeration)
+    for a2, expect in want.items():
+        lc = build_level_complex(g, a2, gens=gens[a2])
+        for got, ref in zip((lc.gens, lc.maslov2, lc.rows, lc.cols), expect):
+            assert np.array_equal(got, ref)

@@ -1,0 +1,94 @@
+"""The traced benchmark still installs on the package.
+
+``perfbench/spans.py`` wraps gridhfk functions, methods and thread-pool
+names at the places they are looked up.  A refactor that drops or
+renames one of those names, or a parameter a span note reads, would
+break only ``perfbench/run.py --trace 1``; these tests make it fail
+here instead.  The benchmark module is loaded from its file and never
+changed.
+"""
+
+import importlib.util
+import inspect
+import io
+from pathlib import Path
+
+import pytest
+
+import gridhfk
+import gridhfk.cli  # noqa: F401  (spans.py patches gridhfk.cli)
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class Probe:
+    """Stands in for any argument value or result a note reads."""
+
+    is_empty = False
+
+    def __len__(self):
+        return 0
+
+    def __getitem__(self, key):
+        return Probe()
+
+    def __sub__(self, other):
+        return 0
+
+    __rsub__ = __sub__
+
+
+def check_note(note, fn):
+    """The note reads only parameters that ``fn`` has."""
+    params = {name: Probe() for name in inspect.signature(fn).parameters}
+    note(params, Probe())
+
+
+def test_every_traced_site_exists_and_its_note_binds(spans):
+    for mod, attr, name, note in spans.FUNCTION_SITES:
+        module = getattr(gridhfk, mod)
+        assert attr in vars(module), f"{mod}.{attr} ({name}) is gone"
+        if note:
+            check_note(note, vars(module)[attr])
+    for mod, cls_name, attr, name, note in spans.METHOD_SITES:
+        cls = getattr(getattr(gridhfk, mod), cls_name)
+        assert attr in vars(cls), f"{mod}.{cls_name}.{attr} ({name}) is gone"
+        if note:
+            check_note(note, vars(cls)[attr])
+    for mod in spans.POOL_SITES:
+        assert "ThreadPoolExecutor" in vars(getattr(gridhfk, mod)), mod
+
+
+def test_tracer_installs_records_and_removes(spans):
+    sites = ([(getattr(gridhfk, m), a) for m, a, _, _ in spans.FUNCTION_SITES]
+             + [(getattr(getattr(gridhfk, m), c), a)
+                for m, c, a, _, _ in spans.METHOD_SITES]
+             + [(getattr(gridhfk, m), "ThreadPoolExecutor")
+                for m in spans.POOL_SITES])
+    before = [vars(owner)[attr] for owner, attr in sites]
+    tracer = spans.Tracer()
+    tracer.install(gridhfk)
+    try:
+        assert all(vars(owner)[attr] is not original
+                   for (owner, attr), original in zip(sites, before))
+        out = io.StringIO()
+        assert gridhfk.cli.run(["compute", "--hat", "corpus:trefoil5"],
+                               out=out, err=io.StringIO()) == 0
+    finally:
+        tracer.remove()
+    assert all(vars(owner)[attr] is original
+               for (owner, attr), original in zip(sites, before))
+    names = {s["name"] for s in tracer.spans}
+    assert {"homology.homology_ranks", "homology.build_level_complex",
+            "rectangles.boundary_entries", "gf2.matrix_rank"} <= names
+    assert "generators.generators_in_level" not in names
+    assert not any(s["counts"]["empty"] for s in tracer.spans
+                   if s["name"] == "homology.build_level_complex")

@@ -49,6 +49,7 @@ from .ledger import (
 )
 from .murasugi import (
     CaseSide,
+    bottom_groups,
     cable_top_group_predict,
     load_case,
     make_connected_sum_case,
@@ -168,12 +169,10 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
                 counts[int(a)] = counts.get(int(a), 0) + int(c)
         report.generator_counts = dict(sorted(counts.items()))
         if args.hat:
-            ranks = hat_ranks(grid, max_generators=args.max_generators,
-                              threads=args.threads)
+            ranks = hat_ranks(grid, max_generators=args.max_generators)
             window = "hat"
         else:
-            ranks = homology_ranks(grid, max_generators=args.max_generators,
-                                   threads=args.threads)
+            ranks = homology_ranks(grid, max_generators=args.max_generators)
             window = "full"
         report.results = {"window": window,
                           "ranks": _ranks_to_json(ranks.ranks),
@@ -198,8 +197,8 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         path_a = _resolve_input(args.connect[0])
         path_b = _resolve_input(args.connect[1])
         ga, gb = load_grid(path_a), load_grid(path_b)
-        side_a = CaseSide(ga, genus2(ga), path_a.stem)
-        side_b = CaseSide(gb, genus2(gb), path_b.stem)
+        side_a = CaseSide(ga, genus2(ga, args.max_generators), path_a.stem)
+        side_b = CaseSide(gb, genus2(gb, args.max_generators), path_b.stem)
         case = make_connected_sum_case(
             f"{path_a.stem}#{path_b.stem}", side_a, side_b)
         expect = {}
@@ -212,8 +211,9 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         inputs = {"case": _digest(path)}
 
     report = RunReport(command=_echo(args), inputs=inputs)
-    r1 = verify_theorem1(case, threads=args.threads)
-    r2 = verify_theorem2(case, threads=args.threads)
+    groups = bottom_groups(case, args.max_generators)
+    r1 = verify_theorem1(case, groups)
+    r2 = verify_theorem2(case, groups, args.max_generators)
     report.results = {
         "case": case.name,
         "theorem1": r1.to_json(),
@@ -271,7 +271,8 @@ def cmd_ledger(args, out) -> tuple[int, RunReport]:
     elif sub == "add":
         if args.grid:
             path = _resolve_input(args.grid)
-            entry = entry_from_grid(args.name, load_grid(path), str(path))
+            entry = entry_from_grid(args.name, load_grid(path), str(path),
+                                    args.max_generators)
         else:
             if args.poincare is None or args.b1 is None:
                 raise GridInputError(
@@ -356,8 +357,8 @@ def cmd_cable(args, out) -> tuple[int, RunReport]:
         raise GridInputError("cable prediction needs a knot (one component)")
     report = RunReport(command=_echo(args), inputs={"knot": _digest(path)})
 
-    g2 = genus2(grid, max_generators=args.max_generators)
     ktop = top_group(grid, max_generators=args.max_generators)
+    g2 = ktop.alex2  # the top group of a knot sits at its genus
     alex2, poly = cable_top_group_predict(args.p, args.q, g2, ktop.poincare)
     convention = ("q counts right-handed meridian twists: the (2,3) cable "
                   "of the unknot is the positive trefoil; for q<0 the top "
@@ -419,8 +420,8 @@ def _common_options(parser, suppress=False):
                         default=defaults["json"],
                         help="emit the full JSON run report on stdout")
     parser.add_argument("--threads", type=int, default=defaults["threads"],
-                        help="worker threads of the murasugi theorem checks "
-                             "(results are identical for any value)")
+                        help="accepted and ignored: every command runs "
+                             "in one thread")
     parser.add_argument("--max-generators", type=int,
                         default=defaults["max_generators"],
                         help="abort (exit 3) any level, subcomplex or "

@@ -80,7 +80,7 @@ def _canonical_order(gens, maslov2):
 
 
 def build_level_complex(grid, alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                        calc=None, counter=None, check_d2=False, gens=None):
+                        calc=None, counter=None, gens=None):
     """The level complex at alex2.
 
     ``gens``, when given, are all int64 generators of that level in
@@ -94,10 +94,8 @@ def build_level_complex(grid, alex2, max_generators=DEFAULT_MAX_GENERATORS,
     gens, m2 = _canonical_order(gens, m2)
     lookup = {int(k): i for i, k in enumerate(encode_perms(gens, calc.n))} if len(gens) else {}
     rows, cols = boundary_entries(counter, gens, lookup, MODE_LEVEL)
-    lc = LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2, rows=rows, cols=cols)
-    if check_d2:
-        verify_d2(lc.rows, lc.cols, lc.size)
-    return lc
+    return LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2,
+                        rows=rows, cols=cols)
 
 
 def verify_d2(rows, cols, size):
@@ -113,40 +111,53 @@ def verify_d2(rows, cols, size):
             raise InconsistentComplex(f"d^2 != 0 from generator {c}")
 
 
+def _maslov_blocks(maslov2, rows, cols):
+    """Split a boundary that lowers maslov2 by 2 into its Maslov blocks.
+
+    ``maslov2`` must be sorted, so each block is a contiguous run of
+    generators.  Yields (m2, block, n_targets, rows, cols) per block in
+    increasing m2: ``block`` is the slice of the block's generators,
+    ``n_targets`` the size of block m2 - 2 (0 when there is none), and
+    the entries out of the block come with their sources counted from
+    the start of the block and their targets from the start of block
+    m2 - 2.  The entries are bucketed with one stable sort.
+    """
+    values, starts = np.unique(maslov2, return_index=True)
+    ends = np.append(starts[1:], len(maslov2))
+    src_block = np.searchsorted(values, maslov2[cols])
+    order = np.argsort(src_block, kind="stable")
+    src_block = src_block[order]
+    tgt_block = np.searchsorted(values, values[src_block] - 2)
+    cols = cols[order] - starts[src_block]
+    rows = rows[order] - starts[tgt_block]
+    bounds = np.searchsorted(src_block, np.arange(len(values) + 1)).tolist()
+    index = {v: i for i, v in enumerate(values.tolist())}
+    for i, v in enumerate(values.tolist()):
+        t = index.get(v - 2)
+        n_targets = int(ends[t] - starts[t]) if t is not None else 0
+        lo, hi = bounds[i], bounds[i + 1]
+        yield (v, slice(int(starts[i]), int(ends[i])), n_targets,
+               rows[lo:hi], cols[lo:hi])
+
+
 def level_homology_ranks(lc):
     """Homology ranks of one level complex, keyed by maslov2.
 
     The boundary maps the maslov2 = m block into m - 2; the rank at m is
     dim(block) - rank(out of m) - rank(into m).
     """
-    if lc.is_empty:
-        return {}
-    values, starts = np.unique(lc.maslov2, return_index=True)
-    sizes = np.diff(np.append(starts, len(lc.maslov2)))
-
-    # Entries bucketed by the block of their source, in one stable sort.
-    src_block = np.searchsorted(values, lc.maslov2[lc.cols])
-    order = np.argsort(src_block, kind="stable")
-    src_block = src_block[order]
-    cols = lc.cols[order] - starts[src_block]
-    tgt_block = np.searchsorted(values, values[src_block] - 2)
-    rows = lc.rows[order] - starts[tgt_block]
-    bounds = np.searchsorted(src_block, np.arange(len(values) + 1))
-
+    sizes = {}
     block_rank = {}
-    for i, v in enumerate(values.tolist()):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        n_rows = int(sizes[tgt_block[lo]])
-        block_rank[v] = gf2.matrix_rank(rows[lo:hi], cols[lo:hi], n_rows,
-                                        int(sizes[i]))
-
+    for m2, block, n_targets, rows, cols in _maslov_blocks(lc.maslov2, lc.rows,
+                                                           lc.cols):
+        sizes[m2] = block.stop - block.start
+        if len(cols):
+            block_rank[m2] = gf2.matrix_rank(rows, cols, n_targets, sizes[m2])
     ranks = {}
-    for i, v in enumerate(values.tolist()):
-        r = int(sizes[i]) - block_rank.get(v, 0) - block_rank.get(v + 2, 0)
+    for m2, size in sizes.items():
+        r = size - block_rank.get(m2, 0) - block_rank.get(m2 + 2, 0)
         if r:
-            ranks[v] = r
+            ranks[m2] = r
     return ranks
 
 
@@ -220,8 +231,7 @@ def deflate_to_hat(tilde, k_minus_l):
     return BigradedRanks(ranks)
 
 
-def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1,
-                   check_d2=False):
+def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1):
     """Tilde homology ranks of every level, from one pass over n! states.
 
     Each streamed block is bucketed by alex2 in uint8; a level is cast
@@ -244,7 +254,7 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1,
     for s in sorted(buckets):
         gens = np.concatenate(buckets.pop(s)).astype(np.int64)
         lc = build_level_complex(grid, s, max_generators, calc=calc,
-                                 counter=counter, check_d2=check_d2, gens=gens)
+                                 counter=counter, gens=gens)
         for m2, r in level_homology_ranks(lc).items():
             out[(m2, s)] = r
     return BigradedRanks(out)
@@ -254,16 +264,13 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1,
 class TwoStepFiltration:
     """Subcomplex of generators at or below an Alexander cutoff.
 
-    Holds the sub generators with the filtered boundary restricted to
-    them; the full complex is only ever touched one Maslov slice at a
-    time by induced_map_rank.
+    Holds the sub generators in canonical order with the filtered
+    boundary restricted to them; the full complex is only ever touched
+    one Maslov slice at a time by induced_map_rank.
     """
 
-    cutoff_alex2: int
-    n: int
     gens: np.ndarray
     maslov2: np.ndarray
-    alex2: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
 
@@ -274,47 +281,30 @@ def build_two_step(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
     counter = counter or RectangleCounter(grid)
     gens = generators_up_to(calc, cutoff_alex2, max_generators)
     if len(gens):
-        m2 = calc.maslov2_batch(gens)
-        a2 = calc.alex2_batch(gens)
-        gens, m2 = _canonical_order(gens, m2)
-        a2 = calc.alex2_batch(gens)
+        gens, m2 = _canonical_order(gens, calc.maslov2_batch(gens))
     else:
         m2 = np.empty(0, dtype=np.int64)
-        a2 = np.empty(0, dtype=np.int64)
     lookup = {int(k): i for i, k in enumerate(encode_perms(gens, calc.n))} if len(gens) else {}
     rows, cols = boundary_entries(counter, gens, lookup, MODE_FILTERED)
-    return TwoStepFiltration(cutoff_alex2=cutoff_alex2, n=calc.n, gens=gens,
-                             maslov2=m2, alex2=a2, rows=rows, cols=cols)
+    return TwoStepFiltration(gens=gens, maslov2=m2, rows=rows, cols=cols)
 
 
 def _sub_cycles_by_maslov(filt):
-    """Kernel bases of the filtered boundary on the subcomplex, per maslov2."""
-    order = {}
-    for i, v in enumerate(filt.maslov2):
-        order.setdefault(int(v), []).append(i)
-    by_source = {}
-    for r, c in zip(filt.rows, filt.cols):
-        by_source.setdefault(int(c), []).append(int(r))
+    """Kernel bases of the filtered boundary on the subcomplex, per maslov2.
 
+    Maps m2 to (generators of the slice, kernel vectors over them) for
+    every slice with a nonzero kernel.
+    """
     cycles = {}
-    for m2, members in order.items():
-        pos_in_slice = {g: k for k, g in enumerate(members)}
-        targets = sorted(order.get(m2 - 2, []))
-        tpos = {g: k for k, g in enumerate(targets)}
-        rows = []
-        cols = []
-        for g in members:
-            for t in by_source.get(g, ()):
-                rows.append(tpos[t])
-                cols.append(pos_in_slice[g])
-        kern = gf2.kernel_basis(rows, cols, len(targets), len(members))
+    for m2, block, n_targets, rows, cols in _maslov_blocks(
+            filt.maslov2, filt.rows, filt.cols):
+        kern = gf2.kernel_basis(rows, cols, n_targets, block.stop - block.start)
         if kern:
-            cycles[m2] = (members, kern)
+            cycles[m2] = (filt.gens[block], kern)
     return cycles
 
 
-def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                     filt=None):
+def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """Rank of H(sub) -> H(full) for the two-step filtration.
 
     Per Maslov slice m2 the contribution is dim Z_S - dim(Z_S meet B),
@@ -327,9 +317,8 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
-    if filt is None:
-        filt = build_two_step(grid, cutoff_alex2, max_generators,
-                              calc=calc, counter=counter)
+    filt = build_two_step(grid, cutoff_alex2, max_generators,
+                          calc=calc, counter=counter)
     if len(filt.gens) == 0:
         return 0
     cycles = _sub_cycles_by_maslov(filt)
@@ -369,10 +358,7 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
 
         # Bit positions of the sub generators of this slice must agree
         # between the cycle vectors and the image vectors.
-        member_pos = {}
-        for g in members:
-            key = int(encode_perms(filt.gens[g][None, :], calc.n)[0])
-            member_pos[g] = lookup[key]
+        member_pos = [lookup[int(k)] for k in encode_perms(members, calc.n)]
 
         sources = all_gens[all_m2 == m2 + 2]
         rows, cols = boundary_entries(counter, sources, lookup, MODE_FILTERED)
@@ -381,10 +367,8 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
 
         cycle_vectors = []
         for tag in kern:
-            support = []
-            for k, g in enumerate(members):
-                if (int(tag[k >> 6]) >> (k & 63)) & 1:
-                    support.append(member_pos[g])
+            support = [pos for k, pos in enumerate(member_pos)
+                       if (int(tag[k >> 6]) >> (k & 63)) & 1]
             cycle_vectors.append(gf2.vector_from_indices(support, n_sub))
 
         z_dim = len(cycle_vectors)

@@ -1,13 +1,16 @@
 """Link invariants read off the grid complex.
 
 The extremal (bottom) group comes from scanning Alexander levels upward
-from the enumeration floor until homology appears; Corollary-style
-deflation says that level carries the hat group of the lowest Alexander
-grading shifted by [k - l], so reported gradings are corrected by
-2(n - l) before anything downstream sees them.  The genus is minus the
-corrected bottom grading; tau extremality asks whether the inclusion of
-the bottom filtration window induces a nonzero map on total homology,
-and the top group is the reflected bottom group of the mirror.
+from the enumeration floor, one level of the floor's parity at a time,
+until homology appears; Corollary-style deflation says that level
+carries the hat group of the lowest Alexander grading shifted by
+[k - l], so reported gradings are corrected by 2(n - l) before anything
+downstream sees them.  The genus is minus the corrected bottom grading;
+tau extremality asks whether the inclusion of the bottom filtration
+window induces a nonzero map on total homology, and the top group is
+the reflected bottom group of the mirror.  By the symmetry
+HFK_d(a) = HFK_{d-2a}(-a), the top group sits at the genus, and a link
+and its mirror have the same genus.
 
 The Alexander polynomial is the generator state sum
 sum (-1)^(maslov2/2) t^(alex2/2) divided by (1 - t)^(n-1), symmetrized
@@ -63,12 +66,14 @@ def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS):
 
     Empty levels and levels with vanishing homology are both skipped;
     termination is guaranteed because the total tilde homology is
-    nonzero.
+    nonzero.  Only every other level is visited: moving a point one row
+    changes its Alexander contribution by -2, 0 or 2, so every generator
+    has the parity of ``level_floor()``.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
     shift = 2 * (calc.n - calc.components)
-    for s in range(calc.level_floor(), calc.level_ceiling() + 1):
+    for s in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
         lc = build_level_complex(grid, s, max_generators, calc=calc, counter=counter)
         if lc.is_empty:
             continue
@@ -99,30 +104,33 @@ def tau_bot_is_minus_g(grid, max_generators=DEFAULT_MAX_GENERATORS,
 
     True exactly when the subcomplex of generators with alex2 at most
     -genus2 - 2(n - l) includes into the full filtered complex with a
-    nonzero map on homology.
+    nonzero map on homology.  ``genus2_hint``, when given, is the
+    doubled genus and spares the bottom scan.
     """
-    calc = GradingCalculator(grid)
     g2 = genus2_hint if genus2_hint is not None else genus2(grid, max_generators)
-    cutoff = -g2 - 2 * (calc.n - calc.components)
+    cutoff = -g2 - 2 * (grid.n - count_components(grid))
     return induced_map_rank(grid, cutoff, max_generators) > 0
 
 
-def tau_top_is_g(grid, max_generators=DEFAULT_MAX_GENERATORS):
-    """Whether the top tau invariant equals the genus (mirror duality)."""
-    return tau_bot_is_minus_g(mirror(grid), max_generators)
+def tau_top_is_g(grid, max_generators=DEFAULT_MAX_GENERATORS,
+                 genus2_hint=None):
+    """Whether the top tau invariant equals the genus (mirror duality).
+
+    A link and its mirror have the same genus, so ``genus2_hint`` is
+    handed to the mirror unchanged.
+    """
+    return tau_bot_is_minus_g(mirror(grid), max_generators, genus2_hint)
 
 
-def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1):
+def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS):
     """Full bigraded hat homology: tilde ranks deflated.
 
     The tilde homology equals hat tensor (F2 + F2[-1,-1])^(n - l), so
     the exact division lands in the hat normalization directly: the
     deflation peels the top-aligned copy.
     """
-    calc = GradingCalculator(grid)
-    k_minus_l = calc.n - calc.components
-    tilde = homology_ranks(grid, max_generators=max_generators, threads=threads)
-    return deflate_to_hat(tilde, k_minus_l)
+    tilde = homology_ranks(grid, max_generators=max_generators)
+    return deflate_to_hat(tilde, grid.n - count_components(grid))
 
 
 def state_sum(grid, max_generators=DEFAULT_MAX_GENERATORS):

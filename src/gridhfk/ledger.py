@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import GridInputError
+from .generators import DEFAULT_MAX_GENERATORS
 from .polynomials import LaurentPoly, divide_exact, gcd_z
 
 SOURCES = ("computed", "literature")
@@ -271,17 +272,19 @@ def save_ledger(ledger: Ledger, path) -> None:
 # entry construction
 
 
-def entry_from_grid(name: str, grid, grid_ref: str) -> LedgerEntry:
+def entry_from_grid(name: str, grid, grid_ref: str,
+                    max_generators=DEFAULT_MAX_GENERATORS) -> LedgerEntry:
     """Compute a ledger entry from a grid diagram.
 
     The polynomial records the top group with halved (true) Maslov
     exponents; the minimal first Betti number comes from the doubled
-    genus and the component count of a minimal Seifert surface.
+    genus, which is the top group's Alexander grading, and the
+    component count of a minimal Seifert surface.
     """
     from .grids import count_components
-    from .invariants import genus2, top_group
+    from .invariants import top_group
 
-    top = top_group(grid)
+    top = top_group(grid, max_generators)
     halved = {}
     for exp, coeff in top.poincare.coeffs.items():
         if exp % 2:
@@ -289,7 +292,7 @@ def entry_from_grid(name: str, grid, grid_ref: str) -> LedgerEntry:
                 f"top group of {name!r} has odd doubled Maslov exponent "
                 f"{exp}; cannot store true exponents")
         halved[exp // 2] = coeff
-    b1 = genus2(grid) - (count_components(grid) - 1)
+    b1 = top.alex2 - (count_components(grid) - 1)
     return LedgerEntry(name, LaurentPoly(halved), b1, "computed", grid_ref)
 
 

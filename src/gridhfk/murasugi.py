@@ -16,18 +16,24 @@ Checks implemented:
     when both summands do;
   * a cable prediction for the top group of the (p,q) cable of a knot.
 
+Both checks run in sequence on one bottom group per link
+(``bottom_groups``), which a caller computes once and hands to both.
 Declared indices are cross-checked against the computed bottom Alexander
 levels; a disagreement raises IndexMismatch (the declared surface cannot
-have been minimal) instead of reporting a verdict.
+have been minimal) instead of reporting a verdict.  The tau check reads
+each link's genus off its bottom group instead of scanning the mirror.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+# Unused here, but perfbench's traced run swaps this name in this module
+# for a pool that propagates spans; it raises KeyError when it is missing.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import GridInputError, IndexMismatch, NegativeIndex, UnsupportedQ
+from .generators import DEFAULT_MAX_GENERATORS
 from .grids import (
     GridDiagram,
     connected_sum,
@@ -106,14 +112,6 @@ class VerificationReport:
         }
 
 
-def _bottom_groups(case: MurasugiCase, threads: int = 3):
-    """Bottom groups of the three links, computed concurrently."""
-    sides = (case.summand1, case.summand2, case.total)
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(bottom_group, s.grid) for s in sides]
-        return [f.result() for f in futures]
-
-
 def _check_declared_index(side: CaseSide, group: ExtremalGroup, label: str):
     if group.alex2 != -side.index2:
         raise IndexMismatch(
@@ -122,18 +120,35 @@ def _check_declared_index(side: CaseSide, group: ExtremalGroup, label: str):
             f"the declared surface is not minimal")
 
 
+def bottom_groups(case: MurasugiCase,
+                  max_generators=DEFAULT_MAX_GENERATORS) -> list:
+    """Bottom groups of summand1, summand2 and the sum, in that order.
+
+    Each declared index is checked against its group as soon as that
+    group is known; a disagreement raises IndexMismatch.
+    """
+    groups = []
+    for side, label in ((case.summand1, "summand1"),
+                        (case.summand2, "summand2"), (case.total, "sum")):
+        group = bottom_group(side.grid, max_generators)
+        _check_declared_index(side, group, label)
+        groups.append(group)
+    return groups
+
+
 def _shifted(group: ExtremalGroup, components: int) -> LaurentPoly:
     return group.poincare.shift(2 * (components - 1))
 
 
-def verify_theorem1(case: MurasugiCase, threads: int = 3) -> VerificationReport:
+def verify_theorem1(case: MurasugiCase, groups=None) -> VerificationReport:
     """Check that the sum's extremal group is the tensor product of the
-    summands' extremal groups, after the component-count Maslov shifts."""
+    summands' extremal groups, after the component-count Maslov shifts.
+
+    ``groups`` are the three bottom groups from ``bottom_groups``; they
+    are computed when not given.
+    """
     start = time.perf_counter()
-    b1, b2, bs = _bottom_groups(case, threads)
-    _check_declared_index(case.summand1, b1, "summand1")
-    _check_declared_index(case.summand2, b2, "summand2")
-    _check_declared_index(case.total, bs, "sum")
+    b1, b2, bs = groups or bottom_groups(case)
 
     p1 = _shifted(b1, case.summand1.components)
     p2 = _shifted(b2, case.summand2.components)
@@ -168,14 +183,20 @@ def _euler_shadow(b1, b2, bs, case: MurasugiCase) -> bool:
     return euler(bs) == euler(b1) * euler(b2) * sign
 
 
-def verify_theorem2(case: MurasugiCase, threads: int = 3) -> VerificationReport:
+def verify_theorem2(case: MurasugiCase, groups=None,
+                    max_generators=DEFAULT_MAX_GENERATORS) -> VerificationReport:
     """Check the extremality equivalence: the sum attains tau_top = g
-    exactly when both summands do."""
+    exactly when both summands do.
+
+    Each link's doubled genus is minus the Alexander grading of its
+    bottom group, so ``groups`` (computed when not given) spare tau its
+    own bottom scans.
+    """
     start = time.perf_counter()
+    groups = groups or bottom_groups(case, max_generators)
     sides = (case.summand1, case.summand2, case.total)
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(tau_top_is_g, s.grid) for s in sides]
-        f1, f2, fs = [f.result() for f in futures]
+    f1, f2, fs = [tau_top_is_g(side.grid, max_generators, -group.alex2)
+                  for side, group in zip(sides, groups)]
     passed = (f1 and f2) == fs
     details = {
         "summand1_tau_top_is_g": f1,

@@ -128,6 +128,15 @@ def test_murasugi_connect():
     assert out.count("pass") == 2
 
 
+def test_murasugi_resource_bound_is_exit_3():
+    # τ streams all 10! states of the sum, far past the budget.
+    code, out, err = invoke("--max-generators", "100", "murasugi",
+                            "--connect", "corpus:trefoil5", "corpus:trefoil6")
+    assert code == 3 and not out
+    assert len(err.strip().splitlines()) == 1
+    assert "GridResourceError" in err
+
+
 def test_murasugi_without_input_is_exit_2():
     code, _, err = invoke("murasugi")
     assert code == 2
@@ -259,6 +268,14 @@ def test_ledger_add_from_grid_and_literature(ledger_file):
     code, out, _ = invoke("ledger", "--file", ledger_file, "add", "pretzel",
                           "--poincare", '{"0": 1, "2": 1}', "--b1", "4")
     assert code == 0 and "[literature]" in out
+
+
+def test_ledger_add_from_grid_respects_the_budget(ledger_file):
+    code, _, err = invoke("--max-generators", "0", "ledger", "--file",
+                          ledger_file, "add", "tre", "--grid",
+                          "corpus:trefoil5")
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_ledger_error_paths(ledger_file):

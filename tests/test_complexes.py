@@ -36,6 +36,7 @@ from gridhfk.rectangles import (
 )
 
 from oracle import (
+    oracle_alex2,
     oracle_boundary_pairs,
     oracle_inclusion_rank,
     oracle_rectangles,
@@ -65,6 +66,16 @@ def test_levels_partition_all_permutations():
                 assert calc.gradings(key)[1] == a2
                 seen.add(key)
         assert total == factorial(g.n)
+
+
+def test_every_alexander_grading_has_the_parity_of_the_floor():
+    # The bottom scan visits only the levels of this parity.
+    rng = np.random.default_rng(24)
+    for _ in range(30):
+        g = random_grid(rng, int(rng.integers(2, 7)))
+        floor = GradingCalculator(g).level_floor()
+        for p in permutations(range(g.n)):
+            assert (oracle_alex2(g.x_cols, g.o_cols, p) - floor) % 2 == 0
 
 
 def test_level_enumeration_is_lexicographic():

@@ -189,6 +189,22 @@ def test_genus_values_and_mirror_invariance():
         assert genus2(mirror(g)) == want, name
 
 
+def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
+    """HFK_d(a) = HFK_{d-2a}(-a): the top group sits at the genus, and a
+    link and its mirror have the same genus.  The tau check of the
+    Murasugi sums relies on both, so the genus hint must not change tau."""
+    rng = np.random.default_rng(33)
+    links = 0
+    for _ in range(40):
+        g = random_grid(rng, int(rng.integers(2, 7)))
+        links += count_components(g) > 1
+        g2 = genus2(g)
+        assert genus2(mirror(g)) == g2 == top_group(g).alex2
+        if g.n <= 5:
+            assert tau_top_is_g(g, genus2_hint=g2) == tau_top_is_g(g)
+    assert links
+
+
 def test_extremal_predicates():
     assert is_extremal_rank_one(top_group(corpus("trefoil5")))
     assert is_extremal_rank_one(top_group(corpus("figure_eight6")))

@@ -92,3 +92,20 @@ def test_tracer_installs_records_and_removes(spans):
     assert "generators.generators_in_level" not in names
     assert not any(s["counts"]["empty"] for s in tracer.spans
                    if s["name"] == "homology.build_level_complex")
+
+
+def test_traced_murasugi_scans_each_link_once(spans):
+    # Two summand genera for the declared indices, then one bottom group
+    # per link, shared by both theorem checks.
+    tracer = spans.Tracer()
+    tracer.install(gridhfk)
+    try:
+        assert gridhfk.cli.run(["murasugi", "--connect", "corpus:trefoil5",
+                                "corpus:hopf_plus4"],
+                               out=io.StringIO(), err=io.StringIO()) == 0
+    finally:
+        tracer.remove()
+    names = [s["name"] for s in tracer.spans]
+    assert {"murasugi.verify_theorem1", "murasugi.verify_theorem2",
+            "invariants.tau_top_is_g"} <= set(names)
+    assert names.count("invariants.bottom_group") == 5

@@ -21,22 +21,23 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import GridInputError, GridResourceError
 from .generators import (
     DEFAULT_MAX_GENERATORS,
-    # Unused here, but perfbench's traced run wraps this name in this module.
+    # Unused here, but perfbench's traced run wraps these names in this module.
     enumerate_all,  # noqa: F401
-    generators_in_level,
-    permutation_blocks,
+    generators_in_level,  # noqa: F401
 )
-from .gradings import GradingCalculator
 from .grids import corpus_case_path, corpus_path, count_components, load_grid
 from .homology import homology_ranks
-from .invariants import bottom_group, genus2, hat_ranks, top_group
+from .invariants import (
+    bottom_group,
+    # Unused here, but perfbench's traced run wraps this name in this module.
+    genus2,  # noqa: F401
+    hat_ranks,
+    top_group,
+)
 from .ledger import (
-    Ledger,
     LedgerEntry,
     b1_sum_check,
     cor6_obstruction,
@@ -50,6 +51,7 @@ from .ledger import (
 from .murasugi import (
     CaseSide,
     bottom_groups,
+    checked_bottom_group,
     cable_top_group_predict,
     load_case,
     make_connected_sum_case,
@@ -138,15 +140,9 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
     start = time.perf_counter()
 
     if args.window == "bottom":
-        group = bottom_group(grid, max_generators=args.max_generators)
-        # count only the tilde levels the extremal scan visited
-        calc = GradingCalculator(grid)
-        shift = 2 * (grid.n - count_components(grid))
-        for a2 in range(calc.level_floor(), group.alex2 - shift + 1, 2):
-            m = len(generators_in_level(grid, a2,
-                                        max_generators=args.max_generators))
-            if m:
-                report.generator_counts[a2] = m
+        # counts only the tilde levels the extremal scan visited
+        group = bottom_group(grid, args.max_generators,
+                             level_sizes=report.generator_counts)
         report.results = {
             "window": "bottom",
             "alex2_bottom": group.alex2,
@@ -160,20 +156,11 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
             print(f"poincare (rank {group.rank}): "
                   f"{group.poincare.format('m')}", file=out)
     else:
-        calc = GradingCalculator(grid)
-        counts = {}
-        for block in permutation_blocks(grid.n, args.max_generators):
-            levels, level_counts = np.unique(calc.alex2_batch(block),
-                                             return_counts=True)
-            for a, c in zip(levels, level_counts):
-                counts[int(a)] = counts.get(int(a), 0) + int(c)
-        report.generator_counts = dict(sorted(counts.items()))
-        if args.hat:
-            ranks = hat_ranks(grid, max_generators=args.max_generators)
-            window = "hat"
-        else:
-            ranks = homology_ranks(grid, max_generators=args.max_generators)
-            window = "full"
+        # the level sizes come from the pass that buckets all n! states
+        window = "hat" if args.hat else "full"
+        rank_fn = hat_ranks if args.hat else homology_ranks
+        ranks = rank_fn(grid, args.max_generators,
+                        level_sizes=report.generator_counts)
         report.results = {"window": window,
                           "ranks": _ranks_to_json(ranks.ranks),
                           "total_rank": ranks.total_rank()}
@@ -197,10 +184,15 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         path_a = _resolve_input(args.connect[0])
         path_b = _resolve_input(args.connect[1])
         ga, gb = load_grid(path_a), load_grid(path_b)
-        side_a = CaseSide(ga, genus2(ga, args.max_generators), path_a.stem)
-        side_b = CaseSide(gb, genus2(gb, args.max_generators), path_b.stem)
+        # Each summand declares its doubled genus, read off the bottom
+        # group that both theorem checks then reuse.
+        groups = [bottom_group(g, args.max_generators) for g in (ga, gb)]
+        side_a = CaseSide(ga, -groups[0].alex2, path_a.stem)
+        side_b = CaseSide(gb, -groups[1].alex2, path_b.stem)
         case = make_connected_sum_case(
             f"{path_a.stem}#{path_b.stem}", side_a, side_b)
+        groups.append(checked_bottom_group(case.total, "sum",
+                                           args.max_generators))
         expect = {}
         inputs = {"summand1": _digest(path_a), "summand2": _digest(path_b)}
     else:
@@ -209,9 +201,9 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         path = _resolve_case_input(args.case)
         case, expect = load_case(path)
         inputs = {"case": _digest(path)}
+        groups = bottom_groups(case, args.max_generators)
 
     report = RunReport(command=_echo(args), inputs=inputs)
-    groups = bottom_groups(case, args.max_generators)
     r1 = verify_theorem1(case, groups)
     r2 = verify_theorem2(case, groups, args.max_generators)
     report.results = {

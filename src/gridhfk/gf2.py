@@ -1,15 +1,13 @@
-"""Linear algebra over GF(2): packed words at the API, Python ints inside.
+"""Linear algebra over GF(2) on Python-int bitsets.
 
-Vectors cross the API as packed uint64 words, 64 coordinates per word,
-coordinate i in bit i & 63 of word i >> 6.  Every elimination runs on
-Python-int bitsets instead: ``int.bit_length`` finds the leading bit and
-``^`` adds two vectors, both native, and the words are converted only at
-the edges with ``int.from_bytes`` and ``int.to_bytes``.  A subspace is
-held as an echelon basis keyed by leading (highest set) bit.  That one
-structure answers everything the homology layer needs: ranks, kernels,
-and echelon spans whose leading-bit positions reveal membership facts
-such as "which part of the image lies inside a chosen coordinate
-subspace".
+A vector is a Python int whose bit i is coordinate i, in and out of
+every function here: ``int.bit_length`` finds the leading bit and ``^``
+adds two vectors, both native.  A subspace is held as an echelon basis,
+a plain dict mapping each leading (highest set) bit to its basis vector,
+grown by ``insert``.  That one structure answers everything the
+homology layer needs: ranks, kernels, and echelon spans whose
+leading-bit positions reveal membership facts such as "which part of
+the image lies inside a chosen coordinate subspace".
 
 Sparse matrices arrive as (row, column) entry arrays and are eliminated
 column by column; each column's int is built only when the elimination
@@ -17,7 +15,9 @@ reaches it, so the working set is the echelon basis plus one column.
 
 Reducing a vector against the basis is deterministic, so every caller
 sees results independent of insertion order chunking; callers that need
-canonical output sort their basis vectors themselves.
+canonical output sort their basis vectors themselves.  The widths
+``n_rows`` and ``width_bits`` are not needed by int vectors; they stay
+in the signatures because perfbench's span notes read them.
 """
 
 from __future__ import annotations
@@ -25,91 +25,36 @@ from __future__ import annotations
 import numpy as np
 
 
-def _words(width_bits):
-    return (width_bits + 63) // 64
-
-
-def _to_int(vec):
-    """The int of a packed vector."""
-    return int.from_bytes(np.asarray(vec, dtype="<u8").tobytes(), "little")
-
-
-def _to_packed(value, width_bits):
-    """The packed vector of an int below 2**width_bits."""
-    data = value.to_bytes(8 * _words(width_bits), "little")
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
-
-
-def _from_indices(indices):
-    """The int with bit i flipped once per occurrence of i."""
+def vector_from_indices(indices):
+    """The int with bit i flipped once per occurrence of the int i."""
     value = 0
     for i in indices:
         value ^= 1 << i
     return value
 
 
-def zero_vector(width_bits):
-    return np.zeros(_words(width_bits), dtype=np.uint64)
+def insert(pivots, value):
+    """Reduce ``value`` against the echelon basis ``pivots`` and add it.
 
-
-def vector_from_indices(indices, width_bits):
-    return _to_packed(_from_indices(int(i) for i in indices), width_bits)
-
-
-def leading_bit(vec):
-    """Index of the highest set bit, or -1 for the zero vector."""
-    return _to_int(vec).bit_length() - 1
-
-
-def _reduce(value, pivots):
-    """XOR pivots into ``value`` until its lead is fresh; (value, lead)."""
+    ``pivots`` maps leading bits to basis vectors and is updated in
+    place.  Returns the lead of the reduced vector, or -1 when ``value``
+    lies in the span already.
+    """
     while value:
         lead = value.bit_length() - 1
         pivot = pivots.get(lead)
         if pivot is None:
-            return value, lead
+            pivots[lead] = value
+            return lead
         value ^= pivot
-    return 0, -1
+    return -1
 
 
-class XorBasis:
-    """Echelon basis over GF(2) with vectors keyed by leading bit.
-
-    ``pivots`` maps each leading bit to its basis vector as an int.
-    """
-
-    def __init__(self, width_bits):
-        self.width_bits = width_bits
-        self.pivots = {}
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduce(self, vec):
-        """XOR pivots into ``vec`` until its lead is fresh or it is zero.
-
-        Mutates and returns ``vec``.
-        """
-        vec[:] = _to_packed(_reduce(_to_int(vec), self.pivots)[0], self.width_bits)
-        return vec
-
-    def add(self, vec):
-        """Insert a vector; returns its pivot position or -1 if dependent."""
-        return self._add_int(_to_int(vec))
-
-    def _add_int(self, value):
-        value, lead = _reduce(value, self.pivots)
-        if lead >= 0:
-            self.pivots[lead] = value
-        return lead
-
-    def contains(self, vec):
-        return _reduce(_to_int(vec), self.pivots)[1] < 0
-
-    def basis_rows(self):
-        return [_to_packed(self.pivots[lead], self.width_bits)
-                for lead in sorted(self.pivots)]
+def _echelon(vectors):
+    pivots = {}
+    for value in vectors:
+        insert(pivots, value)
+    return pivots
 
 
 def sparse_columns(rows, cols, n_cols):
@@ -128,58 +73,41 @@ def sparse_columns(rows, cols, n_cols):
         yield rows[bounds[j]:bounds[j + 1]].tolist()
 
 
-def _column_basis(rows, cols, n_rows, n_cols):
-    basis = XorBasis(n_rows)
-    for support in sparse_columns(rows, cols, n_cols):
-        if support:
-            basis._add_int(_from_indices(support))
-    return basis
+def _column_basis(rows, cols, n_cols):
+    return _echelon(vector_from_indices(support)
+                    for support in sparse_columns(rows, cols, n_cols))
 
 
 def matrix_rank(rows, cols, n_rows, n_cols):
     """Rank of a sparse GF(2) matrix given by entry index arrays."""
-    return _column_basis(rows, cols, n_rows, n_cols).rank
+    return len(_column_basis(rows, cols, n_cols))
 
 
 def kernel_basis(rows, cols, n_rows, n_cols):
-    """Basis of the right kernel, as vectors over the column space.
+    """Basis of the right kernel, as ints over the column space.
 
-    Columns are processed in order with an identity tag appended; a
-    column that reduces to zero donates its tag as a kernel vector.
+    Column j enters as its vector shifted above an identity tag, bit j.
+    Until its vector part reduces to zero, its lead lies above the tags;
+    then its lead is bit j, which no earlier vector can hold, so it is
+    kept as a pivot below ``n_cols`` and its tag is a kernel vector.
     """
     pivots = {}
-    tags = {}
     kernel = []
     for j, support in enumerate(sparse_columns(rows, cols, n_cols)):
-        value = _from_indices(support)
-        tag = 1 << j
-        while True:
-            if not value:
-                kernel.append(_to_packed(tag, n_cols))
-                break
-            lead = value.bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = value
-                tags[lead] = tag
-                break
-            value ^= pivot
-            tag ^= tags[lead]
+        lead = insert(pivots, (vector_from_indices(support) << n_cols) | (1 << j))
+        if lead < n_cols:
+            kernel.append(pivots[lead])
     return kernel
 
 
 def span_intersection_dim(vectors_a, vectors_b, width_bits):
-    """dim(span A  intersect  span B) for two lists of packed vectors."""
-    basis_a = XorBasis(width_bits)
-    for v in vectors_a:
-        basis_a.add(v)
-    basis_b = XorBasis(width_bits)
-    for v in vectors_b:
-        basis_b.add(v)
-    joint = XorBasis(width_bits)
-    for value in list(basis_a.pivots.values()) + list(basis_b.pivots.values()):
-        joint._add_int(value)
-    return basis_a.rank + basis_b.rank - joint.rank
+    """dim(span A  intersect  span B) for two lists of int vectors."""
+    basis_a = _echelon(vectors_a)
+    basis_b = _echelon(vectors_b)
+    joint = dict(basis_a)
+    for value in basis_b.values():
+        insert(joint, value)
+    return len(basis_a) + len(basis_b) - len(joint)
 
 
 def image_in_prefix(rows, cols, n_rows, n_cols, prefix_bits):
@@ -188,9 +116,8 @@ def image_in_prefix(rows, cols, n_rows, n_cols, prefix_bits):
     Row indices below ``prefix_bits`` occupy the low bit positions, so
     an echelon vector whose lead falls under the prefix lies entirely in
     the prefix coordinate subspace, and those vectors span exactly the
-    intersection of the image with that subspace.  Returned vectors are
-    cropped to prefix width.
+    intersection of the image with that subspace.  Returns them as ints
+    below ``2**prefix_bits``, in increasing order of lead.
     """
-    basis = _column_basis(rows, cols, n_rows, n_cols)
-    return [_to_packed(basis.pivots[lead], prefix_bits)
-            for lead in sorted(basis.pivots) if lead < prefix_bits]
+    basis = _column_basis(rows, cols, n_cols)
+    return [basis[lead] for lead in sorted(basis) if lead < prefix_bits]

@@ -15,7 +15,7 @@ with optional ``#`` comment lines anywhere.  Nothing else is accepted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     GridInputError,
@@ -248,19 +248,3 @@ def corpus_case_path(name):
     """Path of a bundled verification-case file, e.g. ``trefoil_connected_sum``."""
     fname = name if name.endswith(".json") else name + ".json"
     return os.path.join(corpus_dir(), "cases", fname)
-
-
-@dataclass(frozen=True)
-class LinkMetadata:
-    """Declared facts about the link a grid presents.
-
-    ``index2`` is the doubled index of a declared Seifert surface,
-    2i(R) = |dR| - chi(R); for a minimal surface this equals the doubled
-    genus of the link.  ``minimal`` records whether the declaration
-    claims minimality.
-    """
-
-    components: int
-    index2: int | None = None
-    minimal: bool = True
-    name: str = ""

@@ -20,7 +20,9 @@ on homology induced by its inclusion is computed per Maslov slice as
     dim Z_S - dim(Z_S  intersect  image of the full boundary)
 
 with the image intersected against the subcomplex coordinates by an
-elimination whose bit order lists subcomplex generators first.  Slices
+elimination whose bit order lists subcomplex generators first.  Every
+vector, kernel tags included, is a Python-int bitset as ``gf2`` takes
+and returns it, so a cycle is read off its tag bit by bit.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
 vanishes there and the induced map contributes nothing.  The full
@@ -179,10 +181,6 @@ class BigradedRanks:
     def alex_levels(self):
         return sorted({a2 for _, a2 in self.ranks})
 
-    def level_poincare(self, alex2):
-        """Maslov distribution of one Alexander level: {maslov2: rank}."""
-        return {m2: v for (m2, a2), v in self.ranks.items() if a2 == alex2}
-
     def shifted(self, maslov2_shift, alex2_shift):
         return BigradedRanks(
             {(m2 + maslov2_shift, a2 + alex2_shift): v for (m2, a2), v in self.ranks.items()}
@@ -231,13 +229,15 @@ def deflate_to_hat(tilde, k_minus_l):
     return BigradedRanks(ranks)
 
 
-def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1):
+def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
+                   level_sizes=None):
     """Tilde homology ranks of every level, from one pass over n! states.
 
     Each streamed block is bucketed by alex2 in uint8; a level is cast
     to int64 only while its complex is built, so the peak holds the
-    uint8 buckets plus one level.  ``threads`` is accepted and ignored:
-    the levels run in sequence, and results do not depend on it.
+    uint8 buckets plus one level.  ``level_sizes``, when given, is a
+    dict that receives the number of generators of every non-empty
+    level, in increasing alex2.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
@@ -253,6 +253,8 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, threads=1):
     out = {}
     for s in sorted(buckets):
         gens = np.concatenate(buckets.pop(s)).astype(np.int64)
+        if level_sizes is not None:
+            level_sizes[s] = len(gens)
         lc = build_level_complex(grid, s, max_generators, calc=calc,
                                  counter=counter, gens=gens)
         for m2, r in level_homology_ranks(lc).items():
@@ -365,11 +367,11 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
         image_vectors = gf2.image_in_prefix(rows, cols, len(ordered),
                                             len(sources), n_sub)
 
-        cycle_vectors = []
-        for tag in kern:
-            support = [pos for k, pos in enumerate(member_pos)
-                       if (int(tag[k >> 6]) >> (k & 63)) & 1]
-            cycle_vectors.append(gf2.vector_from_indices(support, n_sub))
+        # Bit k of a kernel tag stands for the k-th member of the slice.
+        cycle_vectors = [
+            gf2.vector_from_indices(pos for k, pos in enumerate(member_pos)
+                                    if tag >> k & 1)
+            for tag in kern]
 
         z_dim = len(cycle_vectors)
         meet = gf2.span_intersection_dim(cycle_vectors, image_vectors, n_sub)

@@ -61,14 +61,17 @@ class ExtremalGroup:
         return ExtremalGroup(-self.alex2, self.poincare.reflect(), self.components)
 
 
-def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS):
+def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS,
+                 level_sizes=None):
     """Scan levels upward and return the first nonzero homology, hat-shifted.
 
     Empty levels and levels with vanishing homology are both skipped;
     termination is guaranteed because the total tilde homology is
     nonzero.  Only every other level is visited: moving a point one row
     changes its Alexander contribution by -2, 0 or 2, so every generator
-    has the parity of ``level_floor()``.
+    has the parity of ``level_floor()``.  ``level_sizes``, when given, is
+    a dict that receives the number of generators of every non-empty
+    tilde level the scan built, in increasing alex2.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
@@ -77,6 +80,8 @@ def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS):
         lc = build_level_complex(grid, s, max_generators, calc=calc, counter=counter)
         if lc.is_empty:
             continue
+        if level_sizes is not None:
+            level_sizes[s] = lc.size
         ranks = level_homology_ranks(lc)
         if ranks:
             poincare = LaurentPoly({m2 + shift: r for m2, r in ranks.items()})
@@ -122,14 +127,15 @@ def tau_top_is_g(grid, max_generators=DEFAULT_MAX_GENERATORS,
     return tau_bot_is_minus_g(mirror(grid), max_generators, genus2_hint)
 
 
-def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS):
+def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
     """Full bigraded hat homology: tilde ranks deflated.
 
     The tilde homology equals hat tensor (F2 + F2[-1,-1])^(n - l), so
     the exact division lands in the hat normalization directly: the
-    deflation peels the top-aligned copy.
+    deflation peels the top-aligned copy.  ``level_sizes`` is handed to
+    ``homology_ranks``.
     """
-    tilde = homology_ranks(grid, max_generators=max_generators)
+    tilde = homology_ranks(grid, max_generators, level_sizes)
     return deflate_to_hat(tilde, grid.n - count_components(grid))
 
 

@@ -17,7 +17,8 @@ Checks implemented:
   * a cable prediction for the top group of the (p,q) cable of a knot.
 
 Both checks run in sequence on one bottom group per link
-(``bottom_groups``), which a caller computes once and hands to both.
+(``bottom_groups``, or ``checked_bottom_group`` one link at a time),
+which a caller computes once and hands to both.
 Declared indices are cross-checked against the computed bottom Alexander
 levels; a disagreement raises IndexMismatch (the declared surface cannot
 have been minimal) instead of reporting a verdict.  The tau check reads
@@ -40,7 +41,6 @@ from .grids import (
     corpus_path,
     count_components,
     load_grid,
-    parse_grid,
 )
 from .invariants import ExtremalGroup, bottom_group, tau_top_is_g
 from .polynomials import LaurentPoly
@@ -112,12 +112,17 @@ class VerificationReport:
         }
 
 
-def _check_declared_index(side: CaseSide, group: ExtremalGroup, label: str):
+def checked_bottom_group(side: CaseSide, label: str,
+                         max_generators=DEFAULT_MAX_GENERATORS) -> ExtremalGroup:
+    """Bottom group of one side; IndexMismatch unless it sits at minus
+    the declared index."""
+    group = bottom_group(side.grid, max_generators)
     if group.alex2 != -side.index2:
         raise IndexMismatch(
             f"{label}: computed bottom Alexander level {group.alex2} does "
             f"not equal minus the declared doubled index {side.index2}; "
             f"the declared surface is not minimal")
+    return group
 
 
 def bottom_groups(case: MurasugiCase,
@@ -127,13 +132,10 @@ def bottom_groups(case: MurasugiCase,
     Each declared index is checked against its group as soon as that
     group is known; a disagreement raises IndexMismatch.
     """
-    groups = []
-    for side, label in ((case.summand1, "summand1"),
-                        (case.summand2, "summand2"), (case.total, "sum")):
-        group = bottom_group(side.grid, max_generators)
-        _check_declared_index(side, group, label)
-        groups.append(group)
-    return groups
+    return [checked_bottom_group(side, label, max_generators)
+            for side, label in ((case.summand1, "summand1"),
+                                (case.summand2, "summand2"),
+                                (case.total, "sum"))]
 
 
 def _shifted(group: ExtremalGroup, components: int) -> LaurentPoly:

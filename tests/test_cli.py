@@ -4,11 +4,15 @@ and a full ledger session in a scratch directory."""
 import hashlib
 import io
 import json
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from gridhfk.cli import DEFAULT_LEDGER, RunReport, run
-from gridhfk.grids import corpus_path
+from gridhfk.grids import corpus_path, load_corpus
+
+from oracle import oracle_alex2, oracle_bottom_group, oracle_components
 
 
 def invoke(*argv):
@@ -42,6 +46,22 @@ def test_compute_bottom_window():
     assert "bottom group at alex2 = -2" in out
     assert "doubled genus 2" in out
     assert "rank 1" in out
+
+
+def test_compute_bottom_window_counts_are_the_oracle_level_sizes():
+    # Every non-empty tilde level up to the one that carries the bottom
+    # group, which is where the scan stops.
+    for name in ("trefoil5", "figure_eight6", "knot_5_2_7", "torus_2_5_7"):
+        code, out, _ = invoke("--json", "compute", "--window", "bottom",
+                              f"corpus:{name}")
+        assert code == 0
+        g = load_corpus(name)
+        x, o = g.x_cols, g.o_cols
+        last = (oracle_bottom_group(x, o)[0]
+                - 2 * (g.n - oracle_components(x, o)))
+        sizes = Counter(oracle_alex2(x, o, p) for p in permutations(range(g.n)))
+        want = {str(a2): m for a2, m in sorted(sizes.items()) if a2 <= last}
+        assert json.loads(out)["generator_counts"] == want, name
 
 
 def test_compute_missing_file_is_exit_2():
@@ -165,13 +185,11 @@ def test_murasugi_null_index2_case_is_exit_2(tmp_path):
 
 
 def test_memory_error_is_exit_3(monkeypatch):
-    import gridhfk.cli
     import gridhfk.homology
 
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(gridhfk.cli, "permutation_blocks", no_memory)
     monkeypatch.setattr(gridhfk.homology, "permutation_blocks", no_memory)
     for argv in (["compute", "corpus:trefoil5"],
                  ["murasugi", "corpus:hopf_plumbing_trefoil"]):

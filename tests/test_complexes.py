@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -19,7 +20,7 @@ from gridhfk.generators import (
     permutation_blocks,
 )
 from gridhfk.gradings import GradingCalculator
-from gridhfk.grids import load_corpus, make_grid
+from gridhfk.grids import load_corpus
 from gridhfk.homology import (
     build_level_complex,
     homology_ranks,
@@ -266,11 +267,6 @@ def test_euler_characteristic_symmetry_for_knots():
         checked += 1
 
 
-def test_threads_do_not_change_results():
-    g = load_corpus("figure_eight6")
-    assert homology_ranks(g, threads=1) == homology_ranks(g, threads=4)
-
-
 # --------------------------------------------------------------------------
 # streamed full passes on uint8 blocks
 
@@ -354,6 +350,17 @@ def test_one_pass_table_generator_counts_sum_to_n_factorial():
         counts = json.loads(out.getvalue())["generator_counts"]
         n = load_corpus(name).n
         assert sum(counts.values()) == factorial(n), name
+
+
+def test_one_pass_level_sizes_are_the_oracle_level_sizes():
+    rng = np.random.default_rng(35)
+    for n in (2, 3, 4, 5, 5, 6):
+        g = random_grid(rng, n)
+        sizes = {}
+        homology_ranks(g, level_sizes=sizes)
+        want = Counter(oracle_alex2(g.x_cols, g.o_cols, p)
+                       for p in permutations(range(n)))
+        assert list(sizes.items()) == sorted(want.items()), g
 
 
 def test_one_pass_level_complex_from_given_gens_skips_enumeration(monkeypatch):

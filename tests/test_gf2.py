@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) linear algebra cross-checked against brute force.
+"""Int-bitset GF(2) linear algebra cross-checked against brute force.
 
 Brute force here means enumerating the full span as a set of Python
 ints, so dimensions come from set sizes, never from the code under
@@ -11,19 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridhfk.gf2 import (
-    XorBasis,
     image_in_prefix,
+    insert,
     kernel_basis,
-    leading_bit,
     matrix_rank,
     span_intersection_dim,
     vector_from_indices,
-    zero_vector,
 )
-
-
-def packed_to_int(vec):
-    return sum(int(w) << (64 * i) for i, w in enumerate(vec))
 
 
 def span_of_ints(gens):
@@ -61,14 +55,7 @@ def column_ints(rows, cols, n_cols):
 
 
 # --------------------------------------------------------------------------
-# packed-vector primitives
-
-
-def test_leading_bit_across_word_boundaries():
-    for bit in (0, 1, 62, 63, 64, 65, 127, 128, 200):
-        vec = vector_from_indices([0, bit] if bit else [0], bit + 1)
-        assert leading_bit(vec) == bit
-    assert leading_bit(zero_vector(130)) == -1
+# vectors and the echelon basis
 
 
 def test_vector_from_indices_round_trip():
@@ -78,12 +65,11 @@ def test_vector_from_indices_round_trip():
         indices = sorted(
             {int(i) for i in rng.integers(0, width, size=rng.integers(0, 12))}
         )
-        vec = vector_from_indices(indices, width)
-        assert packed_to_int(vec) == sum(1 << i for i in indices)
-
-
-# --------------------------------------------------------------------------
-# XorBasis
+        assert vector_from_indices(indices) == sum(1 << i for i in indices)
+        # a repeated index flips its bit back
+        assert vector_from_indices(indices + indices[:1]) == sum(
+            1 << i for i in indices[1:]
+        )
 
 
 def test_xor_basis_rank_matches_span_size():
@@ -94,36 +80,24 @@ def test_xor_basis_rank_matches_span_size():
         vecs = []
         for _ in range(count):
             support = [int(i) for i in np.nonzero(rng.random(width) < 0.3)[0]]
-            vecs.append(vector_from_indices(support, width))
-        basis = XorBasis(width)
+            vecs.append(vector_from_indices(support))
+        pivots = {}
         for v in vecs:
-            basis.add(v.copy())
-        assert basis.rank == dim_of_span([packed_to_int(v) for v in vecs])
+            insert(pivots, v)
+        assert len(pivots) == dim_of_span(vecs)
+        # every basis vector is keyed by its leading bit
+        assert all(v.bit_length() - 1 == lead for lead, v in pivots.items())
 
 
-def test_xor_basis_contains_and_dependent_add():
-    width = 70
-    a = vector_from_indices([0, 65], width)
-    b = vector_from_indices([65], width)
-    basis = XorBasis(width)
-    assert basis.add(a.copy()) == 65
-    assert basis.add(b.copy()) == 0
-    assert basis.add((a ^ b).copy()) == -1  # dependent
-    assert basis.contains(a)
-    assert basis.contains(b)
-    assert not basis.contains(vector_from_indices([1], width))
-    assert basis.contains(zero_vector(width))
-
-
-def test_basis_rows_are_echelon():
-    rng = np.random.default_rng(3)
-    basis = XorBasis(90)
-    for _ in range(30):
-        support = [int(i) for i in np.nonzero(rng.random(90) < 0.2)[0]]
-        basis.add(vector_from_indices(support, 90))
-    leads = [leading_bit(v) for v in basis.basis_rows()]
-    assert leads == sorted(leads)
-    assert len(set(leads)) == len(leads)
+def test_insert_returns_fresh_lead_or_minus_one():
+    a = vector_from_indices([0, 65])
+    b = vector_from_indices([65])
+    pivots = {}
+    assert insert(pivots, a) == 65
+    assert insert(pivots, b) == 0
+    assert insert(pivots, a ^ b) == -1  # dependent
+    assert insert(pivots, 0) == -1
+    assert sorted(pivots) == [0, 65]
 
 
 # --------------------------------------------------------------------------
@@ -149,8 +123,8 @@ def test_kernel_basis_spans_exact_kernel():
         col_vals = column_ints(rows, cols, n_cols)
         kernel = kernel_basis(rows, cols, n_rows, n_cols)
         # every kernel vector maps to zero
-        for kv in kernel:
-            combo = packed_to_int(kv)
+        for combo in kernel:
+            assert type(combo) is int
             image = 0
             for j in range(n_cols):
                 if (combo >> j) & 1:
@@ -158,7 +132,7 @@ def test_kernel_basis_spans_exact_kernel():
             assert image == 0
         # rank-nullity and independence
         rank = dim_of_span(col_vals)
-        assert dim_of_span([packed_to_int(v) for v in kernel]) == len(kernel)
+        assert dim_of_span(kernel) == len(kernel)
         assert len(kernel) == n_cols - rank
 
 
@@ -172,12 +146,12 @@ def test_span_intersection_dim_matches_brute_force():
                 support = [
                     int(i) for i in np.nonzero(rng.random(width) < 0.4)[0]
                 ]
-                vecs.append(vector_from_indices(support, width))
+                vecs.append(vector_from_indices(support))
             return vecs
         a = sample(int(rng.integers(0, 6)))
         b = sample(int(rng.integers(0, 6)))
-        span_a = span_of_ints([packed_to_int(v) for v in a])
-        span_b = span_of_ints([packed_to_int(v) for v in b])
+        span_a = span_of_ints(a)
+        span_b = span_of_ints(b)
         size = len(span_a & span_b)
         assert size & (size - 1) == 0
         want = size.bit_length() - 1
@@ -191,8 +165,7 @@ def test_image_in_prefix_matches_brute_force():
         n_cols = int(rng.integers(1, 11))
         prefix = int(rng.integers(0, n_rows + 1))
         rows, cols = random_sparse_matrix(rng, n_rows, n_cols)
-        got = image_in_prefix(rows, cols, n_rows, n_cols, prefix)
-        got_ints = [packed_to_int(v) for v in got]
+        got_ints = image_in_prefix(rows, cols, n_rows, n_cols, prefix)
         # returned vectors live inside the prefix subspace
         mask = (1 << prefix) - 1
         assert all(v and v == (v & mask) for v in got_ints)

@@ -1,4 +1,4 @@
-"""The elimination and boundary kernels beyond one word and one mode.
+"""Elimination and boundary kernels at wide widths and in the filtered mode.
 
 GF(2) ranks, kernels and prefix images at widths of 60-300 bits are
 checked against the plain-int eliminations of the oracle, and filtered
@@ -17,7 +17,7 @@ from gridhfk.rectangles import MODE_FILTERED, RectangleCounter, boundary_entries
 
 from oracle import gf2_kernel, gf2_rank, oracle_boundary_pairs
 
-from test_gf2 import column_ints, packed_to_int
+from test_gf2 import column_ints
 from test_grids import random_grid
 
 
@@ -48,7 +48,7 @@ def test_matrix_rank_and_kernel_at_wide_widths():
         assert matrix_rank(rows, cols, n_rows, n_cols) == rank
 
         want = gf2_kernel(col_vals)
-        got = [packed_to_int(v) for v in kernel_basis(rows, cols, n_rows, n_cols)]
+        got = kernel_basis(rows, cols, n_rows, n_cols)
         assert len(got) == len(want) == n_cols - rank
         for combo in got:
             image = 0
@@ -62,8 +62,7 @@ def test_matrix_rank_and_kernel_at_wide_widths():
 
 def check_image_in_prefix(rows, cols, n_rows, n_cols, prefix):
     col_vals = column_ints(rows, cols, n_cols)
-    got = [packed_to_int(v) for v in image_in_prefix(rows, cols, n_rows,
-                                                     n_cols, prefix)]
+    got = image_in_prefix(rows, cols, n_rows, n_cols, prefix)
     rank = gf2_rank(col_vals)
     # dim(image meet prefix) = rank + prefix - dim(image + prefix)
     want = rank + prefix - gf2_rank(col_vals + [1 << i for i in range(prefix)])

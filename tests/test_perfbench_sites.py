@@ -94,9 +94,45 @@ def test_tracer_installs_records_and_removes(spans):
                    if s["name"] == "homology.build_level_complex")
 
 
+def traced_run(spans, argv):
+    """(name, parent name, counts) of every span of one traced command."""
+    tracer = spans.Tracer()
+    tracer.install(gridhfk)
+    try:
+        assert gridhfk.cli.run(argv, out=io.StringIO(),
+                               err=io.StringIO()) == 0
+    finally:
+        tracer.remove()
+    by_id = {s["id"]: s["name"] for s in tracer.spans}
+    return [(s["name"], by_id.get(s["parent"]), s["counts"])
+            for s in tracer.spans]
+
+
+def test_traced_compute_grades_each_state_once(spans):
+    # One alex2 pass buckets the 5! states and fills the level counts;
+    # each level is then Maslov-graded once.
+    for argv in (["compute", "corpus:trefoil5"],
+                 ["compute", "--hat", "corpus:trefoil5"]):
+        records = traced_run(spans, argv)
+        for batch in ("gradings.alex2_batch", "gradings.maslov2_batch"):
+            assert sum(counts["rows"] for name, _, counts in records
+                       if name == batch) == 120, (argv, batch)
+
+
+def test_traced_bottom_window_enumerates_each_level_once(spans):
+    records = traced_run(spans, ["compute", "--window", "bottom",
+                                 "corpus:figure_eight6"])
+    levels = [parent for name, parent, _ in records
+              if name == "generators.generators_in_level"]
+    assert levels
+    assert all(parent == "homology.build_level_complex" for parent in levels)
+    assert len(levels) == sum(1 for name, _, _ in records
+                              if name == "homology.build_level_complex")
+
+
 def test_traced_murasugi_scans_each_link_once(spans):
-    # Two summand genera for the declared indices, then one bottom group
-    # per link, shared by both theorem checks.
+    # One bottom group per link: the summands' groups declare their
+    # indices, and both theorem checks share all three.
     tracer = spans.Tracer()
     tracer.install(gridhfk)
     try:
@@ -108,4 +144,5 @@ def test_traced_murasugi_scans_each_link_once(spans):
     names = [s["name"] for s in tracer.spans]
     assert {"murasugi.verify_theorem1", "murasugi.verify_theorem2",
             "invariants.tau_top_is_g"} <= set(names)
-    assert names.count("invariants.bottom_group") == 5
+    assert names.count("invariants.bottom_group") == 3
+    assert "invariants.genus2" not in names

@@ -8,8 +8,10 @@ Subcommands:
     cable     predict the top group of a (p,q) cable
 
 Exit codes: 0 success / verification passed, 1 a verification check
-failed, 2 input error (unreadable file, invalid grid, bad declaration),
-3 resource bound exceeded (the generator budget, or memory ran out).
+failed (a theorem check, or an internal consistency check such as the
+Euler characteristic or exact division of the homology table), 2 input
+error (unreadable file, invalid grid, bad declaration), 3 resource bound
+exceeded (the generator budget, or memory ran out).
 """
 
 import argparse
@@ -21,7 +23,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import GridInputError, GridResourceError
+from .errors import (
+    GridInputError,
+    GridResourceError,
+    InconsistentComplex,
+    NotDivisible,
+)
 from .generators import (
     DEFAULT_MAX_GENERATORS,
     # Unused here, but perfbench's traced run wraps these names in this module.
@@ -156,7 +163,7 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
             print(f"poincare (rank {group.rank}): "
                   f"{group.poincare.format('m')}", file=out)
     else:
-        # the level sizes come from the pass that buckets all n! states
+        # the level sizes come from the level DP, which lists no state
         window = "hat" if args.hat else "full"
         rank_fn = hat_ranks if args.hat else homology_ranks
         ranks = rank_fn(grid, args.max_generators,
@@ -416,9 +423,9 @@ def _common_options(parser, suppress=False):
                              "in one thread")
     parser.add_argument("--max-generators", type=int,
                         default=defaults["max_generators"],
-                        help="abort (exit 3) any level, subcomplex or "
-                             "full n! pass over more than this many "
-                             "generators")
+                        help="abort (exit 3) any level, subcomplex, "
+                             "table tail or full n! pass over more than "
+                             "this many generators")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,6 +503,9 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
     except MemoryError:
         print("MemoryError: the computation ran out of memory", file=err)
         return 3
+    except (InconsistentComplex, NotDivisible) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=err)
+        return 1
     except FileNotFoundError as exc:
         print(str(exc), file=err)
         return 2

@@ -5,13 +5,19 @@ generators of that level with the boundary counting rectangles empty of
 all markings; it splits along maslov2 into blocks mapping m2 -> m2 - 2,
 so ranks per bigrading fall out of two sparse eliminations per block.
 
-The full table is built in one pass: all n! generators are streamed in
-lexicographic uint8 blocks, each block is bucketed by alex2 with a
-stable sort (so every bucket stays lexicographic), and each non-empty
-level is cast to int64 on its own and handed to the level complex
-builder.  Empty levels, the odd ones among them, are never visited.
-Callers that need only a few levels (the bottom scan, the two-step
-subcomplex) enumerate them with the branch and bound instead.
+The full table is built from the bottom tail of levels.  The tilde
+homology is the hat tensored with (F2 + F2[-1,-1])^k, k = n - l, so
+tilde level s involves only hat levels s .. s + 2k, and dividing the
+tilde levels s <= -2k by (1 + mt)^k from the bottom gives every hat
+level a2 <= 0.  The hat symmetry HFK_d(a) = HFK_{d-2a}(-a), in doubled
+units (m2, a2) <-> (m2 - 2 a2, -a2), gives the levels a2 > 0, and the
+tilde table is the hat inflated.  The tail is enumerated in one branch
+and bound; the subset DP ``level_counts`` sizes it against the budget
+beforehand, reports every level's count, and gives each level's Euler
+characteristic, which the finished table must match on every call.
+No level above the tail is enumerated or graded.  Callers that need
+only a few levels (the bottom scan, the two-step subcomplex) enumerate
+them with the branch and bound too.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
 generators at or below a cutoff span a subcomplex.  The rank of the map
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .errors import InconsistentComplex, NotDivisible
+from .errors import GridResourceError, InconsistentComplex, NotDivisible
 from .generators import (
     DEFAULT_MAX_GENERATORS,
     encode_perms,
@@ -49,6 +55,7 @@ from .generators import (
     enumerate_all,  # noqa: F401
     generators_in_level,
     generators_up_to,
+    level_counts,
     permutation_blocks,
 )
 from .gradings import GradingCalculator
@@ -202,64 +209,88 @@ def inflate(hat, k_minus_l):
     return BigradedRanks(ranks)
 
 
-def deflate_to_hat(tilde, k_minus_l):
+def deflate_to_hat(tilde, k_minus_l, top=None):
     """Exact division by (1 + mt) to the (k - l): the hat from the tilde.
 
-    Processes terms from the top in (alex2, maslov2) order; failure to
-    divide exactly raises NotDivisible.
+    Peels terms from the bottom in (alex2, maslov2) order: the lowest
+    remaining coefficient c at (m2, a2) is the quotient's coefficient at
+    (m2 + 2, a2 + 2), and c is taken off the term there; a negative
+    coefficient raises NotDivisible.  The quotient sits where the
+    top-aligned division would put it.  ``top``, when given, says the
+    tilde ranks are known only at alex2 <= top: each division then
+    yields the quotient at alex2 <= top + 2, so the result is the hat
+    at alex2 <= top + 2(k - l).
     """
     ranks = dict(tilde.ranks)
     for _ in range(k_minus_l):
         quotient = {}
         rem = {k: v for k, v in ranks.items() if v}
         while rem:
-            key = max(rem, key=lambda k: (k[1], k[0]))
-            coeff = rem[key]
+            key = min(rem, key=lambda k: (k[1], k[0]))
+            coeff = rem.pop(key)
             if coeff < 0:
                 raise NotDivisible("bigraded ranks are not divisible by (1 + mt)")
-            quotient[key] = coeff
-            lower = (key[0] - 2, key[1] - 2)
-            rem[lower] = rem.get(lower, 0) - coeff
-            del rem[key]
-            if rem.get(lower) == 0:
-                del rem[lower]
-        if any(v < 0 for v in quotient.values()):
-            raise NotDivisible("bigraded ranks are not divisible by (1 + mt)")
+            upper = (key[0] + 2, key[1] + 2)
+            quotient[upper] = coeff
+            if top is None or upper[1] <= top:
+                rem[upper] = rem.get(upper, 0) - coeff
+                if rem[upper] == 0:
+                    del rem[upper]
         ranks = quotient
+        if top is not None:
+            top += 2
     return BigradedRanks(ranks)
 
 
 def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
                    level_sizes=None):
-    """Tilde homology ranks of every level, from one pass over n! states.
+    """Tilde homology ranks of every level, from the bottom tail of levels.
 
-    Each streamed block is bucketed by alex2 in uint8; a level is cast
-    to int64 only while its complex is built, so the peak holds the
-    uint8 buckets plus one level.  ``level_sizes``, when given, is a
-    dict that receives the number of generators of every non-empty
-    level, in increasing alex2.
+    With k = n - l, the tilde levels alex2 <= -2k are built and divided
+    by (1 + mt)^k from the bottom, which gives every hat level
+    alex2 <= 0; the symmetry (m2, a2) <-> (m2 - 2 a2, -a2) of the hat
+    gives the rest, and the result is the hat inflated.  The tail is
+    enumerated in one branch and bound after ``level_counts`` has
+    checked its size against the budget, and no level above it is
+    graded.  The Euler characteristic of every level of the result must
+    equal the signed count from ``level_counts``, or InconsistentComplex
+    is raised.  ``level_sizes``, when given, is a dict that receives the
+    number of generators of every non-empty level, in increasing alex2.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
-    buckets = {}
-    for block in permutation_blocks(calc.n, max_generators):
-        a2 = calc.alex2_batch(block)
-        order = np.argsort(a2, kind="stable")
-        levels, starts = np.unique(a2[order], return_index=True)
-        bounds = np.append(starts, len(order))
-        for i, s in enumerate(levels.tolist()):
-            buckets.setdefault(s, []).append(block[order[bounds[i]:bounds[i + 1]]])
-
-    out = {}
-    for s in sorted(buckets):
-        gens = np.concatenate(buckets.pop(s)).astype(np.int64)
-        if level_sizes is not None:
-            level_sizes[s] = len(gens)
+    k = calc.n - calc.components
+    levels = level_counts(calc)
+    if level_sizes is not None:
+        level_sizes.update((s, count) for s, (count, _) in levels.items())
+    tail = [s for s in levels if s <= -2 * k]
+    size = sum(levels[s][0] for s in tail)
+    if size > max_generators:
+        raise GridResourceError(
+            f"the {size} generators of the levels up to {-2 * k} exceed "
+            f"the budget {max_generators}", estimate=size)
+    gens = generators_up_to(calc, -2 * k, max_generators)
+    alex2 = calc.alex2_batch(gens)
+    ranks = {}
+    for s in tail:
         lc = build_level_complex(grid, s, max_generators, calc=calc,
-                                 counter=counter, gens=gens)
+                                 counter=counter, gens=gens[alex2 == s])
         for m2, r in level_homology_ranks(lc).items():
-            out[(m2, s)] = r
-    return BigradedRanks(out)
+            ranks[(m2, s)] = r
+    hat = deflate_to_hat(BigradedRanks(ranks), k, top=-2 * k).ranks
+    hat.update({(m2 - 2 * a2, -a2): r for (m2, a2), r in hat.items()
+                if a2 < 0})
+    tilde = inflate(BigradedRanks(hat), k)
+    euler = dict.fromkeys(levels, 0)
+    for (m2, a2), r in tilde.ranks.items():
+        euler[a2] = euler.get(a2, 0) + (-r if m2 // 2 % 2 else r)
+    for s, e in euler.items():
+        want = levels.get(s, (0, 0))[1]
+        if e != want:
+            raise InconsistentComplex(
+                f"Euler characteristic {e} at alex2 = {s} differs from the "
+                f"signed generator count {want}")
+    return tilde
 
 
 @dataclass

@@ -12,20 +12,24 @@ the reflected bottom group of the mirror.  By the symmetry
 HFK_d(a) = HFK_{d-2a}(-a), the top group sits at the genus, and a link
 and its mirror have the same genus.
 
+The full hat table is the tilde table of ``homology_ranks`` (built
+from the bottom tail of levels and the symmetry, and checked against
+the per-level Euler characteristic on every call) divided by
+(1 + mt)^(n - l).
+
 The Alexander polynomial is the generator state sum
 sum (-1)^(maslov2/2) t^(alex2/2) divided by (1 - t)^(n-1), symmetrized
-and normalized to value +1 at t = 1.  Knots only.  The sum is
-accumulated over the streamed blocks of all n! generators.
+and normalized to value +1 at t = 1.  Knots only.  The sum is read off
+the signed level counts of the subset DP ``level_counts``, which never
+lists the n! generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NegativeIndex, NotAKnot, InconsistentComplex
-from .generators import DEFAULT_MAX_GENERATORS, permutation_blocks
+from .generators import DEFAULT_MAX_GENERATORS, level_counts
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
 from .gradings import GradingCalculator
@@ -131,38 +135,34 @@ def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
     """Full bigraded hat homology: tilde ranks deflated.
 
     The tilde homology equals hat tensor (F2 + F2[-1,-1])^(n - l), so
-    the exact division lands in the hat normalization directly: the
-    deflation peels the top-aligned copy.  ``level_sizes`` is handed to
-    ``homology_ranks``.
+    the exact division lands in the hat normalization directly.
+    ``homology_ranks`` builds the tilde table from the hat levels of
+    the bottom tail and their mirror images, with its Euler check, so
+    this division of the whole table also rechecks that it is exact.
+    ``level_sizes`` is handed to ``homology_ranks``.
     """
     tilde = homology_ranks(grid, max_generators, level_sizes)
     return deflate_to_hat(tilde, grid.n - count_components(grid))
 
 
-def state_sum(grid, max_generators=DEFAULT_MAX_GENERATORS):
+def state_sum(grid):
     """Graded Euler characteristic of the full generator set.
 
-    Returns the Laurent polynomial sum (-1)^(maslov2/2) t^(alex2/2);
-    requires a knot so the Alexander exponents are integers.
+    Returns the Laurent polynomial sum (-1)^(maslov2/2) t^(alex2/2),
+    read off the signed level counts of ``level_counts``; requires a
+    knot so the Alexander exponents are integers.
     """
     calc = GradingCalculator(grid)
     if calc.components != 1:
         raise NotAKnot(f"state sum needs a knot, grid has {calc.components} components")
-    coeffs = {}
-    for block in permutation_blocks(calc.n, max_generators):
-        m2 = calc.maslov2_batch(block)
-        a2 = calc.alex2_batch(block)
-        signs = np.where(m2 % 4 == 0, 1, -1)
-        for a in np.unique(a2):
-            e = int(a) // 2
-            coeffs[e] = coeffs.get(e, 0) + int(signs[a2 == a].sum())
-    return LaurentPoly(coeffs)
+    return LaurentPoly({a2 // 2: euler
+                        for a2, (_, euler) in level_counts(calc).items()})
 
 
-def alexander_polynomial(grid, max_generators=DEFAULT_MAX_GENERATORS):
+def alexander_polynomial(grid):
     """Symmetrized Alexander polynomial with value +1 at t = 1."""
     calc = GradingCalculator(grid)
-    raw = state_sum(grid, max_generators)
+    raw = state_sum(grid)
     den = LaurentPoly({0: 1, 1: -1}) if calc.n > 1 else LaurentPoly.one()
     poly = raw
     for _ in range(calc.n - 1):

@@ -190,12 +190,26 @@ def test_memory_error_is_exit_3(monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(gridhfk.homology, "permutation_blocks", no_memory)
+    # Both commands build level complexes, and each level's boundary.
+    monkeypatch.setattr(gridhfk.homology, "boundary_entries", no_memory)
     for argv in (["compute", "corpus:trefoil5"],
                  ["murasugi", "corpus:hopf_plumbing_trefoil"]):
         code, _, err = invoke(*argv)
         assert code == 3
         assert err.startswith("MemoryError") and err.count("\n") == 1
+
+
+def test_verification_errors_are_exit_1(monkeypatch):
+    import gridhfk.invariants
+    from gridhfk.errors import NotDivisible
+
+    def not_divisible(*args, **kwargs):
+        raise NotDivisible("bigraded ranks are not divisible by (1 + mt)")
+
+    monkeypatch.setattr(gridhfk.invariants, "deflate_to_hat", not_divisible)
+    code, out, err = invoke("compute", "--hat", "corpus:trefoil5")
+    assert code == 1 and not out
+    assert err.startswith("NotDivisible") and err.count("\n") == 1
 
 
 def test_murasugi_json_report():

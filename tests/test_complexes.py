@@ -17,6 +17,7 @@ from gridhfk.generators import (
     enumerate_all,
     generators_in_level,
     generators_up_to,
+    level_counts,
     permutation_blocks,
 )
 from gridhfk.gradings import GradingCalculator
@@ -25,9 +26,11 @@ from gridhfk.homology import (
     build_level_complex,
     homology_ranks,
     induced_map_rank,
+    inflate,
     level_homology_ranks,
     verify_d2,
 )
+from gridhfk.invariants import hat_ranks
 from gridhfk.rectangles import (
     MODE_FILTERED,
     MODE_LEVEL,
@@ -39,7 +42,10 @@ from gridhfk.rectangles import (
 from oracle import (
     oracle_alex2,
     oracle_boundary_pairs,
+    oracle_components,
+    oracle_deflate,
     oracle_inclusion_rank,
+    oracle_maslov2,
     oracle_rectangles,
     oracle_tilde_ranks,
 )
@@ -381,3 +387,90 @@ def test_one_pass_level_complex_from_given_gens_skips_enumeration(monkeypatch):
         lc = build_level_complex(g, a2, gens=gens[a2])
         for got, ref in zip((lc.gens, lc.maslov2, lc.rows, lc.cols), expect):
             assert np.array_equal(got, ref)
+
+
+# --------------------------------------------------------------------------
+# the table from the bottom tail, and the level DP
+
+
+def test_tail_table_matches_oracle_on_100_random_grids():
+    """The hat table from the levels up to -2(n - l) and the symmetry,
+    and its inflation, against the oracle's full tables."""
+    rng = np.random.default_rng(36)
+    components = Counter()
+    for n in [2] * 12 + [3] * 25 + [4] * 35 + [5] * 21 + [6] * 6 + [7]:
+        g = random_grid(rng, n)
+        k = n - oracle_components(g.x_cols, g.o_cols)
+        components[n - k] += 1
+        tilde = oracle_tilde_ranks(g.x_cols, g.o_cols)
+        hat = hat_ranks(g)
+        assert hat.ranks == oracle_deflate(tilde, k), g
+        assert inflate(hat, k).ranks == tilde, g
+    assert sum(components.values()) >= 100
+    assert len(components) > 1  # links are among the grids
+
+
+def test_level_counts_are_the_oracle_counts_and_signed_sums():
+    rng = np.random.default_rng(37)
+    for n in [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7]:
+        g = random_grid(rng, n)
+        counts = Counter()
+        euler = Counter()
+        for p in permutations(range(g.n)):
+            a2 = oracle_alex2(g.x_cols, g.o_cols, p)
+            counts[a2] += 1
+            euler[a2] += -1 if oracle_maslov2(g.x_cols, g.o_cols, p) % 4 else 1
+        want = {a2: (counts[a2], euler[a2]) for a2 in sorted(counts)}
+        got = level_counts(GradingCalculator(g))
+        assert list(got.items()) == list(want.items()), g
+
+
+def corrupt_top_of_tail(monkeypatch):
+    """Add one to a rank of the highest tail level the table builds."""
+    original = homology.level_homology_ranks
+    built = []
+
+    def corrupted(lc):
+        built.append(lc.alex2)
+        ranks = original(lc)
+        if lc.alex2 == top:
+            m2 = min(ranks, default=int(lc.maslov2[0]))
+            ranks[m2] = ranks.get(m2, 0) + 1
+        return ranks
+
+    g = load_corpus("trefoil5")
+    top = max(s for s in level_counts(GradingCalculator(g))
+              if s <= -2 * (g.n - 1))
+    monkeypatch.setattr(homology, "level_homology_ranks", corrupted)
+    return built
+
+
+def test_euler_guard_catches_a_corrupted_rank(monkeypatch):
+    from gridhfk.errors import InconsistentComplex
+    built = corrupt_top_of_tail(monkeypatch)
+    with pytest.raises(InconsistentComplex, match="Euler characteristic"):
+        hat_ranks(load_corpus("trefoil5"))
+    assert built
+    err = io.StringIO()
+    assert run(["compute", "--hat", "corpus:trefoil5"], out=io.StringIO(),
+               err=err) == 1
+    assert err.getvalue().startswith("InconsistentComplex")
+    assert err.getvalue().count("\n") == 1
+
+
+def test_tail_budget_exits_3_before_any_level_is_built(monkeypatch):
+    # The tail of trefoil5 (levels up to -8) holds 6 of the 120 states.
+    def no_build(*args, **kwargs):
+        raise AssertionError("the budget must trip before enumeration")
+
+    for argv in (["compute", "corpus:trefoil5"],
+                 ["compute", "--hat", "corpus:trefoil5"]):
+        assert run(["--max-generators", "6", *argv], out=io.StringIO(),
+                   err=io.StringIO()) == 0
+        with monkeypatch.context() as m:
+            m.setattr(homology, "generators_up_to", no_build)
+            m.setattr(homology, "build_level_complex", no_build)
+            err = io.StringIO()
+            assert run(["--max-generators", "5", *argv], out=io.StringIO(),
+                       err=err) == 3
+            assert err.getvalue().startswith("GridResourceError")

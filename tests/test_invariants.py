@@ -11,9 +11,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gridhfk.errors import NotAKnot
+from gridhfk.errors import NotAKnot, NotDivisible
 from gridhfk.grids import count_components, load_corpus, make_grid, mirror
-from gridhfk.homology import deflate_to_hat, homology_ranks, inflate
+from gridhfk.homology import BigradedRanks, deflate_to_hat, homology_ranks, inflate
 from gridhfk.invariants import (
     ExtremalGroup,
     alexander_polynomial,
@@ -269,6 +269,19 @@ def test_deflate_inflate_round_trip_on_corpus():
         tilde = homology_ranks(g)
         hat = deflate_to_hat(tilde, k)
         assert inflate(hat, k) == tilde, name
+
+
+def test_deflate_raises_on_a_remainder_and_stops_at_top():
+    single = BigradedRanks({(0, 0): 1})
+    with pytest.raises(NotDivisible):
+        deflate_to_hat(single, 1)
+    # Known only up to alex2 = 0, the tilde determines the quotient up
+    # to alex2 = 2, and the unknown terms above are not subtracted.
+    assert deflate_to_hat(single, 1, top=0).ranks == {(2, 2): 1}
+    tilde = homology_ranks(corpus("trefoil5"))
+    tail = BigradedRanks({k: v for k, v in tilde.ranks.items() if k[1] <= -8})
+    assert deflate_to_hat(tail, 4, top=-8).ranks == {
+        k: v for k, v in deflate_to_hat(tilde, 4).ranks.items() if k[1] <= 0}
 
 
 def test_deflate_inflate_round_trip_on_random_grids():

@@ -11,12 +11,17 @@ changed.
 import importlib.util
 import inspect
 import io
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import gridhfk
 import gridhfk.cli  # noqa: F401  (spans.py patches gridhfk.cli)
+from gridhfk.grids import load_corpus
+
+from oracle import oracle_alex2, oracle_components
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -80,7 +85,9 @@ def test_tracer_installs_records_and_removes(spans):
         assert all(vars(owner)[attr] is not original
                    for (owner, attr), original in zip(sites, before))
         out = io.StringIO()
-        assert gridhfk.cli.run(["compute", "--hat", "corpus:trefoil5"],
+        # trefoil6 and not trefoil5: the tail of trefoil5 has no
+        # differential, so its table takes no GF(2) rank.
+        assert gridhfk.cli.run(["compute", "--hat", "corpus:trefoil6"],
                                out=out, err=io.StringIO()) == 0
     finally:
         tracer.remove()
@@ -109,14 +116,26 @@ def traced_run(spans, argv):
 
 
 def test_traced_compute_grades_each_state_once(spans):
-    # One alex2 pass buckets the 5! states and fills the level counts;
-    # each level is then Maslov-graded once.
+    # Only the tail, the levels up to -2(n - l), is enumerated and
+    # graded, each of its states once by each grader; the 5! states are
+    # never streamed, and no level above the tail is built.
+    g = load_corpus("trefoil5")
+    k = g.n - oracle_components(g.x_cols, g.o_cols)
+    tail = Counter(a2 for a2 in (oracle_alex2(g.x_cols, g.o_cols, p)
+                                 for p in permutations(range(g.n)))
+                   if a2 <= -2 * k)
+    assert sum(tail.values()) == 6
     for argv in (["compute", "corpus:trefoil5"],
                  ["compute", "--hat", "corpus:trefoil5"]):
         records = traced_run(spans, argv)
         for batch in ("gradings.alex2_batch", "gradings.maslov2_batch"):
             assert sum(counts["rows"] for name, _, counts in records
-                       if name == batch) == 120, (argv, batch)
+                       if name == batch) == sum(tail.values()), (argv, batch)
+        assert sorted(counts["rows"] for name, _, counts in records
+                      if name == "gradings.maslov2_batch") == sorted(
+                          tail.values()), argv
+        assert not any(name == "generators.enumerate_all"
+                       for name, _, _ in records), argv
 
 
 def test_traced_bottom_window_enumerates_each_level_once(spans):

@@ -1,26 +1,35 @@
-"""Generator enumeration: full stream, single Alexander level, or bottom
-window, and the per-level counts without enumeration.
+"""Generator enumeration: full stream, graded subsets (a level, the
+levels up to a cutoff, a set of Maslov slices), and the per-level counts
+without enumeration.
 
 Generators are permutations stored as (m, n) arrays, one row per
 generator, entry [i, c] being the row of the point on vertical circle
-c.  Level and window enumeration return int64 arrays.  The full set of
-n! generators is never held at once: ``permutation_blocks`` streams it
-in lexicographic order as uint8 blocks of (n-1)! rows, one block per
-value of the first column, so a pass over all generators keeps one
-block plus whatever the caller selects from it.
+c.  Graded enumeration returns int64 arrays in lexicographic order.
+The full set of n! generators is never held at once:
+``permutation_blocks`` streams it in lexicographic order as uint8
+blocks of (n-1)! rows, one block per value of the first column; only
+``enumerate_all`` reads it.
 
-Level enumeration runs a branch and bound over columns: the doubled
-Alexander grading is a sum of independent per-point contributions, so
-partial assignments carry exact attainable bounds from the per-column
-minima and maxima over the rows still free.
+Both gradings are sums of per-move terms over (column, used-row mask):
+placing row r in column c adds fa[c][r] to alex2, and fm[c][r] / 2
+plus the rows of the mask below r (the new increasing pairs) to
+maslov2 / 2.  ``graded_generators`` reads an exact completion table of
+that sum, built once per grading and cached on the GradingCalculator:
+for every mask, the values the free rows can still add.  Partial
+permutations grow column by column in numpy, and a partial is kept only
+when some completion lands in a target, so no dead branch is entered
+and an empty level costs one table lookup.  ``graded_levels`` reads the
+attained values off the same table.
 
 ``level_counts`` gives the size and the signed count (the Euler
 characteristic) of every level from a DP over (column, used-row mask),
 in about n 2^n steps per level and without listing a generator.
 
-Every enumeration routine takes a generator budget and aborts with
-GridResourceError once it would enumerate more than that many rows; the
-full stream checks n! against it before building any block.
+Every enumeration routine takes a generator budget and raises
+GridResourceError once it would list more than that many rows: the
+full stream checks n! before building any block, and graded
+enumeration checks each column's partials, which never outnumber the
+rows of the result, before the result is allocated.
 """
 
 from __future__ import annotations
@@ -94,56 +103,131 @@ def enumerate_all(grid_or_calc, max_generators=DEFAULT_MAX_GENERATORS):
     return np.concatenate(list(permutation_blocks(grid_or_calc.n, max_generators)))
 
 
-def _branch_and_bound(calc, lo, hi, max_generators):
-    """Permutations whose alex2 lies in [lo, hi], lexicographic order."""
+def _completion_table(calc, grading):
+    """The exact completion table of one grading, built once per calculator.
+
+    Returns (shift, base, inversions, reach_counts): placing row r in
+    column c after the rows of ``mask`` adds shift[c][r], plus the rows
+    of the mask below r when ``inversions``, to a relative value j, and
+    a generator's grading is base + 2 j.  ``reach_counts[mask, j]`` is
+    the number of relative values below j that the rows outside the
+    mask can add by filling columns popcount(mask)..n-1, so a range of
+    completions is attainable when the counts at its ends differ.
+    """
+    tables = calc.completion_tables
+    if grading not in tables:
+        tables[grading] = _build_completion_table(calc, grading)
+    return tables[grading]
+
+
+def _build_completion_table(calc, grading):
     n = calc.n
-    fa = calc.fa
-    const = calc.alex_const
-    out = []
-    perm = [0] * n
-
-    def descend(depth, used, partial):
-        if depth == n:
-            total = partial + const
-            if lo <= total <= hi:
-                out.append(tuple(perm))
-                if len(out) > max_generators:
-                    raise GridResourceError(
-                        f"level enumeration exceeded the budget {max_generators}",
-                        estimate=len(out),
-                    )
-            return
-        # Attainable range for the remaining columns, one row each.
-        min_rest = 0
-        max_rest = 0
-        for c in range(depth, n):
-            col = fa[c]
-            best = None
-            worst = None
-            for r in range(n):
-                if used & (1 << r):
-                    continue
-                v = col[r]
-                if best is None or v < best:
-                    best = v
-                if worst is None or v > worst:
-                    worst = v
-            min_rest += best
-            max_rest += worst
-        if partial + min_rest + const > hi or partial + max_rest + const < lo:
-            return
-        col = fa[depth]
+    if grading == "alex":
+        # alex2 adds fa[c][r]; within a column these share one parity.
+        lo = calc.fa.min(axis=1)
+        shift = (calc.fa - lo[:, None]) // 2
+        base = int(lo.sum()) + calc.alex_const
+        inversions = False
+    elif grading == "maslov":
+        # maslov2 / 2 adds fm[c][r] / 2 plus the new increasing pairs.
+        half_fm = calc.fm // 2
+        lo = half_fm.min(axis=1)
+        shift = half_fm - lo[:, None]
+        base = 2 * int(lo.sum()) + calc.maslov_const
+        inversions = True
+    else:
+        raise ValueError(f"unknown grading {grading!r}")
+    width = int(shift.max(axis=1).sum()) + 1
+    if inversions:
+        width += n * (n - 1) // 2
+    masks = np.arange(1 << n, dtype=np.int64)
+    popcount = np.bitwise_count(masks)
+    reach = np.zeros((1 << n, width), dtype=bool)
+    reach[-1, 0] = True
+    for c in range(n - 1, -1, -1):
+        layer = masks[popcount == c]
         for r in range(n):
-            bit = 1 << r
-            if used & bit:
-                continue
-            perm[depth] = r
-            descend(depth + 1, used | bit, partial + col[r])
+            src = layer[(layer >> r & 1) == 0]
+            child = reach[src | 1 << r]
+            step = np.full(len(src), shift[c][r])
+            if inversions:
+                step += np.bitwise_count(src & ((1 << r) - 1))
+            for s in np.unique(step).tolist():
+                pick = step == s
+                reach[src[pick], s:] |= child[pick, :width - s]
+    counts = np.zeros((1 << n, width + 1), dtype=np.min_scalar_type(width))
+    np.cumsum(reach, axis=1, out=counts[:, 1:])
+    return shift, base, inversions, counts
 
-    descend(0, 0, 0)
-    if not out:
+
+def graded_levels(calc, grading):
+    """Every attained value of the grading ("alex" or "maslov"), increasing."""
+    _, base, _, counts = _completion_table(calc, grading)
+    return [base + 2 * j for j in np.flatnonzero(np.diff(counts[0])).tolist()]
+
+
+def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERATORS):
+    """All generators whose alex2 or maslov2 lies in ``targets``.
+
+    ``grading`` is "alex" (alex2) or "maslov" (maslov2).  Returns an
+    int64 (m, n) array in lexicographic order, (0, n) when no generator
+    is graded in the targets.  The permutations grow column by column:
+    each alive partial expands into its free rows in increasing order,
+    and a child lives on only when the completion table says some
+    completion lands in a target.  So every alive partial has a
+    completion, no column holds more partials than the result has rows,
+    and GridResourceError is raised as soon as a column holds more than
+    ``max_generators``, before the result is allocated.
+    """
+    n = calc.n
+    shift, base, inversions, counts = _completion_table(calc, grading)
+    width = counts.shape[1] - 1
+    rel = sorted({(t - base) // 2 for t in targets
+                  if (t - base) % 2 == 0 and 0 <= t - base < 2 * width})
+    if not rel:
         return np.empty((0, n), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    # Runs of consecutive relative targets, as half-open [start, stop).
+    breaks = [i for i in range(1, len(rel)) if rel[i] != rel[i - 1] + 1]
+    starts = [rel[i] for i in [0, *breaks]]
+    stops = [rel[i - 1] + 1 for i in [*breaks, len(rel)]]
+
+    def reachable(masks, acc):
+        hit = np.zeros(len(masks), dtype=bool)
+        for start, stop in zip(starts, stops):
+            lo = np.clip(start - acc, 0, width)
+            hi = np.clip(stop - acc, 0, width)
+            hit |= counts[masks, hi] > counts[masks, lo]
+        return hit
+
+    masks = np.zeros(1, dtype=np.int64)
+    acc = np.zeros(1, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    parents = []
+    placed = []
+    for c in range(n):
+        # Row-major nonzero lists the children parent by parent, each
+        # parent's in increasing row: lexicographic order, with no sort.
+        parent, row = np.nonzero((masks[:, None] >> rows & 1) == 0)
+        used = masks[parent]
+        child = used | 1 << row
+        value = acc[parent] + shift[c][row]
+        if inversions:
+            value += np.bitwise_count(used & ((1 << row) - 1))
+        alive = reachable(child, value)
+        masks, acc = child[alive], value[alive]
+        if len(masks) > max_generators:
+            raise GridResourceError(
+                f"enumeration of column {c} reached {len(masks)} partial "
+                f"generators, over the budget {max_generators}",
+                estimate=len(masks))
+        parents.append(parent[alive])
+        placed.append(row[alive])
+    out = np.empty((len(masks), n), dtype=np.int64)
+    index = np.arange(len(masks))
+    for c in range(n - 1, -1, -1):
+        out[:, c] = placed[c][index]
+        index = parents[c][index]
+    return out
 
 
 def level_counts(calc):
@@ -205,18 +289,15 @@ def generators_in_level(grid_or_calc, alex2, max_generators=DEFAULT_MAX_GENERATO
     Returns an empty (0, n) array when the level is empty; an empty
     level is data, not an error.
     """
-    calc = _as_calc(grid_or_calc)
-    if alex2 < calc.level_floor() or alex2 > calc.level_ceiling():
-        return np.empty((0, calc.n), dtype=np.int64)
-    return _branch_and_bound(calc, alex2, alex2, max_generators)
+    return graded_generators(_as_calc(grid_or_calc), "alex", [alex2], max_generators)
 
 
 def generators_up_to(grid_or_calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """All generators with alex2 at most the cutoff."""
     calc = _as_calc(grid_or_calc)
-    if cutoff_alex2 < calc.level_floor():
-        return np.empty((0, calc.n), dtype=np.int64)
-    return _branch_and_bound(calc, calc.level_floor(), cutoff_alex2, max_generators)
+    top = min(cutoff_alex2, calc.level_ceiling())
+    return graded_generators(calc, "alex", range(calc.level_floor(), top + 1),
+                             max_generators)
 
 
 def encode_perms(perms, n):

@@ -17,8 +17,9 @@ counted by a boundary operator drops maslov2 by exactly 2 and alex2 by
 2(n_X - n_O) of the rectangle it crosses.
 
 The doubled Alexander grading splits as a sum of one contribution per
-generator point plus a grid constant, which is what the enumeration
-module prunes on.
+generator point plus a grid constant, and maslov2 / 2 as such a sum plus
+the count of increasing pairs; the enumeration module builds its
+completion tables from these terms and caches them on the calculator.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class GradingCalculator:
         # maslov2(x) = 2 I(x, x) + sum_c fm[c, perm[c]] + maslov_const
         self.fm = -2 * (o_ne[: n, : n] + o_sw[: n, : n])
         self.maslov_const = 2 * i_oo + 2
+
+        # Completion tables of the enumeration, built on first use.
+        self.completion_tables = {}
 
     def alex2(self, perm):
         return int(sum(self.fa[c, r] for c, r in enumerate(perm))) + self.alex_const

@@ -11,13 +11,13 @@ tilde level s involves only hat levels s .. s + 2k, and dividing the
 tilde levels s <= -2k by (1 + mt)^k from the bottom gives every hat
 level a2 <= 0.  The hat symmetry HFK_d(a) = HFK_{d-2a}(-a), in doubled
 units (m2, a2) <-> (m2 - 2 a2, -a2), gives the levels a2 > 0, and the
-tilde table is the hat inflated.  The tail is enumerated in one branch
-and bound; the subset DP ``level_counts`` sizes it against the budget
-beforehand, reports every level's count, and gives each level's Euler
-characteristic, which the finished table must match on every call.
-No level above the tail is enumerated or graded.  Callers that need
-only a few levels (the bottom scan, the two-step subcomplex) enumerate
-them with the branch and bound too.
+tilde table is the hat inflated.  The tail is enumerated in one pass of
+``generators_up_to``; the subset DP ``level_counts`` sizes it against
+the budget beforehand, reports every level's count, and gives each
+level's Euler characteristic, which the finished table must match on
+every call.  No level above the tail is enumerated or graded.  Callers
+that need only a few levels (the bottom scan, the two-step subcomplex)
+enumerate just those levels.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
 generators at or below a cutoff span a subcomplex.  The rank of the map
@@ -32,9 +32,9 @@ and returns it, so a cycle is read off its tag bit by bit.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
 vanishes there and the induced map contributes nothing.  The full
-complex is read by streaming all n! generators in blocks and keeping
-only the Maslov slices that this computation images, so its memory
-scales with those slices and not with n!.
+complex is read only on the Maslov slices that this computation
+images, enumerated straight from the Maslov completion table, so its
+time and memory scale with those slices and not with n!.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .generators import (
     enumerate_all,  # noqa: F401
     generators_in_level,
     generators_up_to,
+    graded_generators,
     level_counts,
-    permutation_blocks,
 )
 from .gradings import GradingCalculator
 from .rectangles import MODE_FILTERED, MODE_LEVEL, RectangleCounter, boundary_entries
@@ -250,7 +250,7 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
     by (1 + mt)^k from the bottom, which gives every hat level
     alex2 <= 0; the symmetry (m2, a2) <-> (m2 - 2 a2, -a2) of the hat
     gives the rest, and the result is the hat inflated.  The tail is
-    enumerated in one branch and bound after ``level_counts`` has
+    enumerated in one pass after ``level_counts`` has
     checked its size against the budget, and no level above it is
     graded.  The Euler characteristic of every level of the result must
     equal the signed count from ``level_counts``, or InconsistentComplex
@@ -343,10 +343,9 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     Per Maslov slice m2 the contribution is dim Z_S - dim(Z_S meet B),
     where B is the image of the full filtered boundary from slice
     m2 + 2.  The needed m2 are those where Z_S is nonzero and the target
-    homology can be nonzero.  All n! generators are streamed in
-    lexicographic uint8 blocks and Maslov-graded block by block; only
-    the rows of the needed slices and of the slices m2 + 2 above them
-    are kept, so the working set is one block plus those slices.
+    homology can be nonzero.  Only the generators of the needed slices
+    and of the slices m2 + 2 above them are enumerated, in
+    lexicographic order, so the budget bounds those slices and not n!.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
@@ -363,17 +362,9 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     if not needed:
         return 0
 
-    kept = np.array(sorted(set(needed) | {m2 + 2 for m2 in needed}))
-    kept_gens = []
-    kept_m2 = []
-    for block in permutation_blocks(calc.n, max_generators):
-        m2 = calc.maslov2_batch(block)
-        mask = np.isin(m2, kept)
-        kept_gens.append(block[mask])
-        kept_m2.append(m2[mask])
-    # Kept rows stay in lexicographic order; rectangles needs int64 rows.
-    all_gens = np.concatenate(kept_gens).astype(np.int64)
-    all_m2 = np.concatenate(kept_m2)
+    kept = set(needed) | {m2 + 2 for m2 in needed}
+    all_gens = graded_generators(calc, "maslov", kept, max_generators)
+    all_m2 = calc.maslov2_batch(all_gens)
 
     sub_keys = set(int(k) for k in encode_perms(filt.gens, calc.n))
 

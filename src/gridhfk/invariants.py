@@ -1,11 +1,11 @@
 """Link invariants read off the grid complex.
 
-The extremal (bottom) group comes from scanning Alexander levels upward
-from the enumeration floor, one level of the floor's parity at a time,
-until homology appears; Corollary-style deflation says that level
-carries the hat group of the lowest Alexander grading shifted by
-[k - l], so reported gradings are corrected by 2(n - l) before anything
-downstream sees them.  The genus is minus the corrected bottom grading;
+The extremal (bottom) group comes from scanning the non-empty Alexander
+levels upward, as the alex completion table lists them, until homology
+appears; Corollary-style deflation says that level carries the hat
+group of the lowest Alexander grading shifted by [k - l], so reported
+gradings are corrected by 2(n - l) before anything downstream sees
+them.  The genus is minus the corrected bottom grading;
 tau extremality asks whether the inclusion of the bottom filtration
 window induces a nonzero map on total homology, and the top group is
 the reflected bottom group of the mirror.  By the symmetry
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeIndex, NotAKnot, InconsistentComplex
-from .generators import DEFAULT_MAX_GENERATORS, level_counts
+from .generators import DEFAULT_MAX_GENERATORS, graded_levels, level_counts
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
 from .gradings import GradingCalculator
@@ -69,21 +69,18 @@ def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS,
                  level_sizes=None):
     """Scan levels upward and return the first nonzero homology, hat-shifted.
 
-    Empty levels and levels with vanishing homology are both skipped;
-    termination is guaranteed because the total tilde homology is
-    nonzero.  Only every other level is visited: moving a point one row
-    changes its Alexander contribution by -2, 0 or 2, so every generator
-    has the parity of ``level_floor()``.  ``level_sizes``, when given, is
+    Only the levels that hold generators are visited, as the alex
+    completion table lists them (``graded_levels``), and levels with
+    vanishing homology are skipped; termination is guaranteed because
+    the total tilde homology is nonzero.  ``level_sizes``, when given, is
     a dict that receives the number of generators of every non-empty
     tilde level the scan built, in increasing alex2.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
     shift = 2 * (calc.n - calc.components)
-    for s in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
+    for s in graded_levels(calc, "alex"):
         lc = build_level_complex(grid, s, max_generators, calc=calc, counter=counter)
-        if lc.is_empty:
-            continue
         if level_sizes is not None:
             level_sizes[s] = lc.size
         ranks = level_homology_ranks(lc)

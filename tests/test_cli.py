@@ -149,12 +149,22 @@ def test_murasugi_connect():
 
 
 def test_murasugi_resource_bound_is_exit_3():
-    # τ streams all 10! states of the sum, far past the budget.
+    # τ enumerates the Maslov slices it images, which hold 12 022 of the
+    # 10! states of the sum, far past the budget.
     code, out, err = invoke("--max-generators", "100", "murasugi",
                             "--connect", "corpus:trefoil5", "corpus:trefoil6")
     assert code == 3 and not out
     assert len(err.strip().splitlines()) == 1
     assert "GridResourceError" in err
+
+
+def test_murasugi_tau_stays_within_a_budget_below_n_factorial():
+    # The n = 11 sum has 11! > 10^6 states; τ enumerates only its slices.
+    code, out, err = invoke("--max-generators", "1000000", "murasugi",
+                            "--connect", "corpus:torus_2_5_7",
+                            "corpus:trefoil5")
+    assert code == 0 and not err
+    assert out.count("pass") == 2
 
 
 def test_murasugi_without_input_is_exit_2():

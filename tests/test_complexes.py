@@ -17,6 +17,8 @@ from gridhfk.generators import (
     enumerate_all,
     generators_in_level,
     generators_up_to,
+    graded_generators,
+    graded_levels,
     level_counts,
     permutation_blocks,
 )
@@ -110,6 +112,61 @@ def test_generators_up_to_matches_filter():
         want = {p for p in permutations(range(5))
                 if calc.gradings(p)[1] <= cutoff}
         assert got == want
+
+
+def _check_graded(calc, grading, targets, perms, values):
+    """The enumerator against a filter of all permutations, and its budget."""
+    want = perms[np.isin(values, list(targets))]
+    got = graded_generators(calc, grading, targets)
+    assert got.dtype == np.int64 and got.shape == (len(want), calc.n)
+    assert np.array_equal(got, want), (grading, targets)
+    if len(want):
+        with pytest.raises(GridResourceError):
+            graded_generators(calc, grading, targets,
+                              max_generators=len(want) - 1)
+    assert len(graded_generators(calc, grading, targets,
+                                 max_generators=len(want))) == len(want)
+
+
+def test_graded_generators_match_a_filter_of_all_permutations():
+    """Single levels, up-to ranges and sets of Maslov slices, on knots
+    and links, against a filter of the lexicographic full stream graded
+    by the oracle: same rows in the same order, int64, and a budget that
+    passes at the count and trips one below it."""
+    rng = np.random.default_rng(38)
+    components = Counter()
+    for n in [2] * 10 + [3] * 20 + [4] * 30 + [5] * 25 + [6] * 12 + [7] * 3:
+        g = random_grid(rng, n)
+        components[oracle_components(g.x_cols, g.o_cols)] += 1
+        calc = GradingCalculator(g)
+        perms = np.concatenate(list(permutation_blocks(n))).astype(np.int64)
+        rows = perms.tolist()
+        alex2 = np.array([oracle_alex2(g.x_cols, g.o_cols, p) for p in rows])
+        maslov2 = np.array([oracle_maslov2(g.x_cols, g.o_cols, p)
+                            for p in rows])
+        levels = sorted(set(alex2.tolist()))
+        slices = sorted(set(maslov2.tolist()))
+        assert graded_levels(calc, "alex") == levels
+        assert graded_levels(calc, "maslov") == slices
+        for a2 in range(levels[0] - 2, levels[-1] + 3):
+            _check_graded(calc, "alex", [a2], perms, alex2)
+            assert np.array_equal(generators_in_level(calc, a2),
+                                  perms[alex2 == a2])
+        for cutoff in (levels[0] - 1, levels[len(levels) // 2], levels[-1]):
+            _check_graded(calc, "alex", range(levels[0], cutoff + 1),
+                          perms, alex2)
+            assert np.array_equal(generators_up_to(calc, cutoff),
+                                  perms[alex2 <= cutoff])
+        for _ in range(3):
+            picked = rng.choice(slices, size=min(len(slices), 3),
+                                replace=False).tolist()
+            _check_graded(calc, "maslov", {*picked, picked[0] + 2}, perms,
+                          maslov2)
+        _check_graded(calc, "maslov", [slices[0] - 2, slices[-1] + 1],
+                      perms, maslov2)
+        _check_graded(calc, "alex", [], perms, alex2)
+    assert sum(components.values()) == 100
+    assert len(components) > 1  # links are among the grids
 
 
 def test_resource_guard_trips():

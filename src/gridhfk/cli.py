@@ -15,6 +15,7 @@ exceeded (the generator budget, or memory ran out).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -428,6 +429,9 @@ def _common_options(parser, suppress=False):
                              "this many generators")
 
 
+# Built once per process and shared by every run: all defaults are
+# immutable, and parsing leaves the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridhfk",

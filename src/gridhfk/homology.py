@@ -31,10 +31,13 @@ vector, kernel tags included, is a Python-int bitset as ``gf2`` takes
 and returns it, so a cycle is read off its tag bit by bit.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
-vanishes there and the induced map contributes nothing.  The full
-complex is read only on the Maslov slices that this computation
-images, enumerated straight from the Maslov completion table, so its
-time and memory scale with those slices and not with n!.
+vanishes there and the induced map contributes nothing.  Every
+slice's term is non-negative, so ``induced_map_ranks`` yields them one
+at a time, lowest slice first, and a caller that needs only whether the
+rank is positive stops at the first positive term.  The full complex is
+read one slice pair (m2, m2 + 2) at a time, when the slice is reached,
+enumerated straight from the Maslov completion table, so time and
+memory scale with the slices visited and not with n!.
 """
 
 from __future__ import annotations
@@ -299,7 +302,7 @@ class TwoStepFiltration:
 
     Holds the sub generators in canonical order with the filtered
     boundary restricted to them; the full complex is only ever touched
-    one Maslov slice at a time by induced_map_rank.
+    one Maslov slice at a time by induced_map_ranks.
     """
 
     gens: np.ndarray
@@ -337,43 +340,37 @@ def _sub_cycles_by_maslov(filt):
     return cycles
 
 
-def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
-    """Rank of H(sub) -> H(full) for the two-step filtration.
+def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
+    """Per-slice terms of the rank of H(sub) -> H(full), lowest slice first.
 
-    Per Maslov slice m2 the contribution is dim Z_S - dim(Z_S meet B),
-    where B is the image of the full filtered boundary from slice
-    m2 + 2.  The needed m2 are those where Z_S is nonzero and the target
-    homology can be nonzero.  Only the generators of the needed slices
-    and of the slices m2 + 2 above them are enumerated, in
-    lexicographic order, so the budget bounds those slices and not n!.
+    Yields, for every needed Maslov slice m2 in increasing order, the
+    number dim Z_S - dim(Z_S meet B) >= 0, where Z_S is the cycle space
+    of the subcomplex in slice m2 and B the image of the full filtered
+    boundary from slice m2 + 2; the rank is their sum.  The needed m2
+    are those where Z_S is nonzero and the target homology can be
+    nonzero.  A slice's generators, and those of the slice m2 + 2 above
+    it, are enumerated only when the slice is reached, so a consumer
+    that stops early never lists the slices above, and the budget
+    bounds the slices visited and not n!.
     """
     calc = GradingCalculator(grid)
     counter = RectangleCounter(grid)
     filt = build_two_step(grid, cutoff_alex2, max_generators,
                           calc=calc, counter=counter)
     if len(filt.gens) == 0:
-        return 0
+        return
     cycles = _sub_cycles_by_maslov(filt)
-    if not cycles:
-        return 0
-
     window_lo = -2 * (calc.n - 1)
-    needed = [m2 for m2 in cycles if window_lo <= m2 <= 0]
-    if not needed:
-        return 0
+    sub_keys = set(encode_perms(filt.gens, calc.n).tolist())
 
-    kept = set(needed) | {m2 + 2 for m2 in needed}
-    all_gens = graded_generators(calc, "maslov", kept, max_generators)
-    all_m2 = calc.maslov2_batch(all_gens)
-
-    sub_keys = set(int(k) for k in encode_perms(filt.gens, calc.n))
-
-    total = 0
-    for m2 in needed:
+    for m2 in sorted(cycles):
+        if not window_lo <= m2 <= 0:
+            continue
         members, kern = cycles[m2]
+        pair = graded_generators(calc, "maslov", {m2, m2 + 2}, max_generators)
+        pair_m2 = calc.maslov2_batch(pair)
         # Full slice at m2, subcomplex generators first (low bits).
-        slice_mask = all_m2 == m2
-        slice_gens = all_gens[slice_mask]
+        slice_gens = pair[pair_m2 == m2]
         keys = encode_perms(slice_gens, calc.n)
         in_sub = np.array([int(k) in sub_keys for k in keys], dtype=bool)
         ordered = np.concatenate([slice_gens[in_sub], slice_gens[~in_sub]])
@@ -384,7 +381,7 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
         # between the cycle vectors and the image vectors.
         member_pos = [lookup[int(k)] for k in encode_perms(members, calc.n)]
 
-        sources = all_gens[all_m2 == m2 + 2]
+        sources = pair[pair_m2 == m2 + 2]
         rows, cols = boundary_entries(counter, sources, lookup, MODE_FILTERED)
         image_vectors = gf2.image_in_prefix(rows, cols, len(ordered),
                                             len(sources), n_sub)
@@ -395,7 +392,11 @@ def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
                                     if tag >> k & 1)
             for tag in kern]
 
-        z_dim = len(cycle_vectors)
         meet = gf2.span_intersection_dim(cycle_vectors, image_vectors, n_sub)
-        total += z_dim - meet
-    return total
+        yield len(cycle_vectors) - meet
+
+
+def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
+    """Rank of H(sub) -> H(full) for the two-step filtration: the sum of
+    ``induced_map_ranks`` over every needed Maslov slice."""
+    return sum(induced_map_ranks(grid, cutoff_alex2, max_generators))

@@ -149,13 +149,24 @@ def test_murasugi_connect():
 
 
 def test_murasugi_resource_bound_is_exit_3():
-    # τ enumerates the Maslov slices it images, which hold 12 022 of the
-    # 10! states of the sum, far past the budget.
+    # τ stops at the first Maslov slice that survives, but that slice and
+    # the one above it still hold 126 + 1 645 of the 10! states of the
+    # sum, far past the budget.
     code, out, err = invoke("--max-generators", "100", "murasugi",
                             "--connect", "corpus:trefoil5", "corpus:trefoil6")
     assert code == 3 and not out
     assert len(err.strip().splitlines()) == 1
     assert "GridResourceError" in err
+
+
+def test_murasugi_tau_lists_only_the_slices_it_visits():
+    # τ of the n = 10 sum stops at its lowest needed Maslov slice, which
+    # contributes: that slice and the one above it hold 126 + 1 645
+    # states, and the slices above them (10 251 more) are never listed.
+    code, out, err = invoke("--max-generators", "2000", "murasugi",
+                            "--connect", "corpus:trefoil5", "corpus:trefoil6")
+    assert code == 0 and not err
+    assert out.count("pass") == 2
 
 
 def test_murasugi_tau_stays_within_a_budget_below_n_factorial():

@@ -28,6 +28,7 @@ from gridhfk.homology import (
     build_level_complex,
     homology_ranks,
     induced_map_rank,
+    induced_map_ranks,
     inflate,
     level_homology_ranks,
     verify_d2,
@@ -381,6 +382,21 @@ def test_induced_map_rank_matches_oracle_at_every_cutoff():
         for cutoff in range(calc.level_floor(), calc.level_ceiling() + 1):
             want = oracle_inclusion_rank(g.x_cols, g.o_cols, cutoff)
             assert induced_map_rank(g, cutoff) == want, (g, cutoff)
+
+
+def test_slice_terms_sum_to_the_oracle_and_any_decides_positivity():
+    """τ reads only whether some slice term is positive; that is exact
+    because no term is negative, and the terms sum to the rank."""
+    rng = np.random.default_rng(31)
+    for n in [3] * 6 + [4] * 7 + [5] * 6 + [6]:
+        g = random_grid(rng, n)
+        calc = GradingCalculator(g)
+        for cutoff in range(calc.level_floor(), calc.level_ceiling() + 1):
+            want = oracle_inclusion_rank(g.x_cols, g.o_cols, cutoff)
+            terms = list(induced_map_ranks(g, cutoff))
+            assert all(t >= 0 for t in terms), (g, cutoff, terms)
+            assert sum(terms) == want, (g, cutoff, terms)
+            assert any(induced_map_ranks(g, cutoff)) == (want > 0), (g, cutoff)
 
 
 # --------------------------------------------------------------------------

@@ -165,3 +165,12 @@ def test_traced_murasugi_scans_each_link_once(spans):
             "invariants.tau_top_is_g"} <= set(names)
     assert names.count("invariants.bottom_group") == 3
     assert "invariants.genus2" not in names
+
+
+def test_traced_tau_images_only_the_slices_it_visits(spans):
+    # τ stops at the first Maslov slice that survives: one image for each
+    # summand and one for the n = 10 sum, whose lowest slice contributes.
+    records = traced_run(spans, ["murasugi", "--connect", "corpus:trefoil5",
+                                 "corpus:trefoil6"])
+    assert sum(1 for name, _, _ in records
+               if name == "gf2.image_in_prefix") == 3

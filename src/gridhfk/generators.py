@@ -15,11 +15,16 @@ placing row r in column c adds fa[c][r] to alex2, and fm[c][r] / 2
 plus the rows of the mask below r (the new increasing pairs) to
 maslov2 / 2.  ``graded_generators`` reads an exact completion table of
 that sum, built once per grading and cached on the GradingCalculator:
-for every mask, the values the free rows can still add.  Partial
-permutations grow column by column in numpy, and a partial is kept only
-when some completion lands in a target, so no dead branch is entered
-and an empty level costs one table lookup.  ``graded_levels`` reads the
-attained values off the same table.
+for every mask, the values the free rows can still add.  The table is
+filled from the full mask down, one bulk gather-OR per move (c, r) for
+alex2, and per move and count k of mask rows below r for maslov2.
+Which masks each of those touches does not depend on the grid, so
+``_move_groups`` lists them once per n (int32 masks sorted by k, with
+run bounds; an LRU cache holds the last few n) and every table of that
+size reuses them.  Partial permutations grow column by column in numpy,
+and a partial is kept only when some completion lands in a target, so
+no dead branch is entered and an empty level costs one table lookup.
+``graded_levels`` reads the attained values off the same table.
 
 ``level_counts`` gives the size and the signed count (the Euler
 characteristic) of every level from a DP over (column, used-row mask),
@@ -34,6 +39,7 @@ rows of the result, before the result is allocated.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,6 +126,34 @@ def _completion_table(calc, grading):
     return tables[grading]
 
 
+# One Murasugi check visits up to eight grid sizes in turn.
+@functools.lru_cache(maxsize=8)
+def _move_groups(n):
+    """The grid-free part of every completion table of size n.
+
+    Entry (c, r) is (masks, bounds): the int32 masks with c bits set and
+    bit r clear, sorted by how many of their bits lie below r, and
+    ``bounds[k]:bounds[k + 1]`` the run of those with k such bits.
+    These are the partials that placing row r in column c extends, and
+    that count is the number of increasing pairs the move adds.
+    """
+    masks = np.arange(1 << n, dtype=np.int32)
+    groups = {}
+    for r in range(n):
+        src = masks[(masks >> r & 1) == 0]
+        below = np.bitwise_count(src & ((1 << r) - 1))
+        # Sort by (popcount, bits below r): one run per (c, k).  The
+        # key fits 16 bits, where the stable sort is a radix sort.
+        key = np.bitwise_count(src).astype(np.uint16) * (n + 1) + below
+        order = np.argsort(key, kind="stable")
+        src = src[order]
+        bounds = np.searchsorted(key[order], np.arange(n * (n + 1) + 1)).tolist()
+        for c in range(n):
+            runs = bounds[c * (n + 1):c * (n + 1) + c + 2]
+            groups[c, r] = (src[runs[0]:runs[-1]], [b - runs[0] for b in runs])
+    return groups
+
+
 def _build_completion_table(calc, grading):
     n = calc.n
     if grading == "alex":
@@ -140,21 +174,22 @@ def _build_completion_table(calc, grading):
     width = int(shift.max(axis=1).sum()) + 1
     if inversions:
         width += n * (n - 1) // 2
-    masks = np.arange(1 << n, dtype=np.int64)
-    popcount = np.bitwise_count(masks)
+    groups = _move_groups(n)
     reach = np.zeros((1 << n, width), dtype=bool)
     reach[-1, 0] = True
     for c in range(n - 1, -1, -1):
-        layer = masks[popcount == c]
         for r in range(n):
-            src = layer[(layer >> r & 1) == 0]
+            src, bounds = groups[c, r]
+            s = int(shift[c][r])
             child = reach[src | 1 << r]
-            step = np.full(len(src), shift[c][r])
-            if inversions:
-                step += np.bitwise_count(src & ((1 << r) - 1))
-            for s in np.unique(step).tolist():
-                pick = step == s
-                reach[src[pick], s:] |= child[pick, :width - s]
+            if not inversions:
+                reach[src, s:] |= child[:, :width - s]
+                continue
+            # The run of masks with k rows below r adds k more.
+            for k in range(c + 1):
+                lo, hi = bounds[k], bounds[k + 1]
+                if hi > lo:
+                    reach[src[lo:hi], s + k:] |= child[lo:hi, :width - s - k]
     counts = np.zeros((1 << n, width + 1), dtype=np.min_scalar_type(width))
     np.cumsum(reach, axis=1, out=counts[:, 1:])
     return shift, base, inversions, counts
@@ -193,9 +228,10 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
 
     def reachable(masks, acc):
         hit = np.zeros(len(masks), dtype=bool)
+        # acc >= 0 and every stop <= width, so only the floor can bind.
         for start, stop in zip(starts, stops):
-            lo = np.clip(start - acc, 0, width)
-            hi = np.clip(stop - acc, 0, width)
+            lo = np.maximum(start - acc, 0)
+            hi = np.maximum(stop - acc, 0)
             hit |= counts[masks, hi] > counts[masks, lo]
         return hit
 

@@ -111,16 +111,29 @@ def build_level_complex(grid, alex2, max_generators=DEFAULT_MAX_GENERATORS,
 
 
 def verify_d2(rows, cols, size):
-    """Raise InconsistentComplex unless the sparse boundary squares to zero."""
-    by_source = [[] for _ in range(size)]
-    for r, c in zip(rows, cols):
-        by_source[int(c)].append(int(r))
-    for c in range(size):
-        acc = set()
-        for mid in by_source[c]:
-            acc ^= set(by_source[mid])
-        if acc:
-            raise InconsistentComplex(f"d^2 != 0 from generator {c}")
+    """Raise InconsistentComplex unless the sparse boundary squares to zero.
+
+    The entries are sorted by source, so the entries out of every middle
+    generator form one run; each entry (mid, c) is composed with the run
+    out of mid, and the products are counted per (c, target) mod 2.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if len(rows) == 0:
+        return
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    lo = np.searchsorted(cols, rows, side="left")
+    run = np.searchsorted(cols, rows, side="right") - lo
+    # Position of each product in the run out of its middle generator.
+    ends = np.cumsum(run)
+    offset = np.arange(ends[-1]) - np.repeat(ends - run, run)
+    targets = rows[np.repeat(lo, run) + offset]
+    pairs = np.repeat(cols, run) * size + targets
+    pairs, counts = np.unique(pairs, return_counts=True)
+    odd = pairs[counts % 2 == 1]
+    if len(odd):
+        raise InconsistentComplex(f"d^2 != 0 from generator {int(odd[0]) // size}")
 
 
 def _maslov_blocks(maslov2, rows, cols):
@@ -361,7 +374,7 @@ def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS)
         return
     cycles = _sub_cycles_by_maslov(filt)
     window_lo = -2 * (calc.n - 1)
-    sub_keys = set(encode_perms(filt.gens, calc.n).tolist())
+    sub_keys = encode_perms(filt.gens, calc.n)
 
     for m2 in sorted(cycles):
         if not window_lo <= m2 <= 0:
@@ -372,18 +385,20 @@ def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS)
         # Full slice at m2, subcomplex generators first (low bits).
         slice_gens = pair[pair_m2 == m2]
         keys = encode_perms(slice_gens, calc.n)
-        in_sub = np.array([int(k) in sub_keys for k in keys], dtype=bool)
-        ordered = np.concatenate([slice_gens[in_sub], slice_gens[~in_sub]])
-        lookup = {int(k): i for i, k in enumerate(encode_perms(ordered, calc.n))}
+        in_sub = np.isin(keys, sub_keys)
+        keys = np.concatenate([keys[in_sub], keys[~in_sub]])
+        lookup = dict(zip(keys.tolist(), range(len(keys))))
         n_sub = int(in_sub.sum())
 
         # Bit positions of the sub generators of this slice must agree
         # between the cycle vectors and the image vectors.
-        member_pos = [lookup[int(k)] for k in encode_perms(members, calc.n)]
+        order = np.argsort(keys)
+        member_pos = order[np.searchsorted(keys[order],
+                                           encode_perms(members, calc.n))].tolist()
 
         sources = pair[pair_m2 == m2 + 2]
         rows, cols = boundary_entries(counter, sources, lookup, MODE_FILTERED)
-        image_vectors = gf2.image_in_prefix(rows, cols, len(ordered),
+        image_vectors = gf2.image_in_prefix(rows, cols, len(keys),
                                             len(sources), n_sub)
 
         # Bit k of a kernel tag stands for the k-th member of the slice.

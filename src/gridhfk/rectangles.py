@@ -13,12 +13,21 @@ Maslov step below the source (maslov2 drops by exactly 2), and the
 doubled Alexander grading drops by twice the number of X markings
 crossed, which is zero in the level-preserving case.
 
-Marking counts inside cyclic rectangles come from prefix sums over a
-doubled board, evaluated in bulk for a whole array of generators.
-Boundary entries are assembled without a per-entry loop: the targets
-of each (ci, cj) rectangle are found among the sorted target keys with
-``np.searchsorted``, and the multiplicity of every (source, target)
-pair is reduced mod 2 with ``np.unique(..., return_counts=True)``.
+The point test is a record low.  Write rel[t] = (x[ci + t] - x[ci]) % n
+for the rows of the columns t = 1 .. n - 1 steps to the right of ci.
+The rectangle of width w has height rel[w], and the points of the
+columns strictly inside it lie inside exactly when their rel is below
+that height, so the rectangle misses them exactly when rel[w] is below
+min(rel[1 .. w - 1]): one ``np.minimum.accumulate`` along t finds every
+point-free rectangle of a source.  Marking counts inside those come
+from prefix sums over a doubled board, read by flat fancy indexing.
+
+``boundary_entries`` runs over all (source, ci, width) triples at once,
+in passes of at most ``_CHUNK`` triples, so memory stays flat whatever
+the number of sources.  The targets of each pass are found among the
+sorted target keys with one ``np.searchsorted``, and the multiplicity of
+every (source, target) pair is reduced mod 2 by one
+``np.unique(..., return_counts=True)`` over all passes.
 """
 
 from __future__ import annotations
@@ -27,6 +36,9 @@ import numpy as np
 
 MODE_LEVEL = "level"
 MODE_FILTERED = "filtered"
+
+# (source, ci, width) triples per pass of ``boundary_entries``.
+_CHUNK = 1 << 14
 
 
 def _doubled_prefix(cols, n):
@@ -63,37 +75,7 @@ class RectangleCounter:
         return self._count(self._po, c0, width, r0, height)
 
 
-def empty_rectangle_mask(counter, perms, ci, cj, mode):
-    """Which rows of ``perms`` admit the counted rectangle r(p, q).
-
-    p is the point on column ci, q on column cj.  Returns the boolean
-    mask plus the rectangle's doubled Alexander drop (2 * n_X crossed)
-    for the surviving rows.
-    """
-    n = counter.n
-    a = perms[:, ci]
-    b = perms[:, cj]
-    width = (cj - ci) % n
-    height = (b - a) % n
-
-    o_in = counter.o_inside(ci, width, a, height)
-    ok = o_in == 0
-    x_in = counter.x_inside(ci, width, a, height)
-    if mode == MODE_LEVEL:
-        ok &= x_in == 0
-
-    # Interior generator points: columns strictly between ci and cj
-    # whose rows land strictly inside the cyclic row interval.
-    for t in range(1, width):
-        c = (ci + t) % n
-        rel = (perms[:, c] - a) % n
-        ok &= ~((rel > 0) & (rel < height))
-
-    return ok, 2 * x_in
-
-
-def boundary_entries(counter, sources, target_lookup, mode,
-                     target_of=None):
+def boundary_entries(counter, sources, target_lookup, mode):
     """Sparse boundary entries for an array of source generators.
 
     ``target_lookup`` maps encoded permutations to row indices of the
@@ -108,7 +90,7 @@ def boundary_entries(counter, sources, target_lookup, mode,
     n = counter.n
     m = len(sources)
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if m == 0 or not target_lookup:
+    if m == 0 or n < 2 or not target_lookup:
         return empty
     keys = np.fromiter(target_lookup.keys(), dtype=np.int64,
                        count=len(target_lookup))
@@ -117,30 +99,38 @@ def boundary_entries(counter, sources, target_lookup, mode,
     order = np.argsort(keys)
     keys = keys[order]
     index = index[order]
-    weights = n ** np.arange(n, dtype=np.int64)
-    base_keys = sources @ weights
-    hit_targets = []
-    hit_sources = []
-    for ci in range(n):
-        for cj in range(n):
-            if ci == cj:
-                continue
-            ok, _ = empty_rectangle_mask(counter, sources, ci, cj, mode)
-            idx = np.nonzero(ok)[0]
-            if len(idx) == 0:
-                continue
-            a = sources[idx, ci]
-            b = sources[idx, cj]
-            moved = base_keys[idx] + (b - a) * weights[ci] + (a - b) * weights[cj]
-            pos = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
-            found = keys[pos] == moved
-            hit_targets.append(index[pos[found]])
-            hit_sources.append(idx[found])
-    if not hit_targets:
-        return empty
     span = int(index.max()) + 1
-    pairs = np.concatenate(hit_sources) * span + np.concatenate(hit_targets)
-    pairs, counts = np.unique(pairs, return_counts=True)
+    weights = n ** np.arange(n, dtype=np.int64)
+    # Markings that may not lie inside a counted rectangle, as a flat
+    # doubled prefix table indexed by column * stride + row.
+    marks = counter._po if mode == MODE_FILTERED else counter._po + counter._px
+    marks = marks.ravel()
+    stride = 2 * n + 1
+    # ahead[ci, t - 1] is the column t steps to the right of ci.
+    ahead = (np.arange(n)[:, None] + np.arange(1, n)) % n
+    step = max(1, _CHUNK // (n * (n - 1)))
+    pairs = []
+    for lo in range(0, m, step):
+        chunk = sources[lo:lo + step]
+        rel = (chunk[:, ahead] - chunk[:, :, None]) % n
+        low = np.empty_like(rel)
+        low[:, :, 0] = n
+        np.minimum.accumulate(rel[:, :, :-1], axis=2, out=low[:, :, 1:])
+        x, ci, t = np.nonzero(rel < low)
+        a = chunk[x, ci]
+        c1 = ci + t + 1
+        r1 = a + rel[x, ci, t]
+        inside = (marks[c1 * stride + r1] - marks[ci * stride + r1]
+                  - marks[c1 * stride + a] + marks[ci * stride + a])
+        keep = inside == 0
+        x, ci, a = x[keep], ci[keep], a[keep]
+        cj = c1[keep] % n
+        moved = ((chunk @ weights)[x]
+                 + (chunk[x, cj] - a) * (weights[ci] - weights[cj]))
+        pos = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
+        found = keys[pos] == moved
+        pairs.append((x[found] + lo) * span + index[pos[found]])
+    pairs, counts = np.unique(np.concatenate(pairs), return_counts=True)
     pairs = pairs[counts % 2 == 1]
     return pairs % span, pairs // span
 

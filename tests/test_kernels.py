@@ -1,21 +1,39 @@
-"""Elimination and boundary kernels at wide widths and in the filtered mode.
+"""Elimination, boundary and completion-table kernels.
 
 GF(2) ranks, kernels and prefix images at widths of 60-300 bits are
-checked against the plain-int eliminations of the oracle, and filtered
-boundary entries into a restricted target basis against the rectangle
-oracle.
+checked against the plain-int eliminations of the oracle; boundary
+entries, split into passes of one, two and three sources or not, and
+into a restricted target basis, against the rectangle oracle; every
+mask of the completion tables against a brute-force completion; and
+``verify_d2`` against a boundary with one entry flipped.
 """
 
 from itertools import permutations
 
 import numpy as np
+import pytest
 
+from gridhfk import generators, rectangles
+from gridhfk.errors import InconsistentComplex
 from gridhfk.gf2 import image_in_prefix, kernel_basis, matrix_rank
 from gridhfk.gradings import GradingCalculator
 from gridhfk.generators import encode_perms
-from gridhfk.rectangles import MODE_FILTERED, RectangleCounter, boundary_entries
+from gridhfk.grids import load_corpus
+from gridhfk.homology import build_level_complex, verify_d2
+from gridhfk.rectangles import (
+    MODE_FILTERED,
+    MODE_LEVEL,
+    RectangleCounter,
+    boundary_entries,
+)
 
-from oracle import gf2_kernel, gf2_rank, oracle_boundary_pairs
+from oracle import (
+    gf2_kernel,
+    gf2_rank,
+    oracle_alex2,
+    oracle_boundary_pairs,
+    oracle_maslov2,
+)
 
 from test_gf2 import column_ints
 from test_grids import random_grid
@@ -126,3 +144,90 @@ def test_filtered_boundary_with_empty_lookup_is_empty():
         assert len(rows) == len(cols) == 0
         assert oracle_boundary_pairs(g.x_cols, g.o_cols, sources.tolist(),
                                      targets=[], mode="filtered") == []
+
+
+@pytest.mark.parametrize("per_pass", [1, 2, 3])
+def test_boundary_entries_in_uneven_passes_match_oracle(monkeypatch, per_pass):
+    """Sources split into passes of ``per_pass`` sources, the last one
+    short, give the oracle's entries in both modes, in the same order
+    as one pass."""
+    rng = np.random.default_rng(45)
+    for n in (4, 4, 5, 5, 6, 6):
+        g = random_grid(rng, n)
+        counter = RectangleCounter(g)
+        perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        count = 4 * per_pass + 1
+        sources = perms[rng.choice(len(perms), size=count, replace=False)]
+        lookup = {int(k): i for i, k in enumerate(encode_perms(perms, n))}
+        for mode in (MODE_LEVEL, MODE_FILTERED):
+            whole = boundary_entries(counter, sources, lookup, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(rectangles, "_CHUNK", per_pass * n * (n - 1))
+                rows, cols = boundary_entries(counter, sources, lookup, mode)
+            want = oracle_boundary_pairs(g.x_cols, g.o_cols, sources.tolist(),
+                                         targets=perms.tolist(), mode=mode)
+            assert sorted(zip(cols.tolist(), rows.tolist())) == sorted(
+                (src, tgt) for tgt, src in want)
+            assert np.array_equal(rows, whole[0])
+            assert np.array_equal(cols, whole[1])
+
+
+def _reachable_by_brute_force(g, grading, mask, shift, base):
+    """Relative values the free rows of ``mask`` add over every completion.
+
+    The mask's rows fill columns 0..c-1 in increasing order; each
+    completion is graded by the oracle and taken relative to the base
+    and to that prefix's own value.
+    """
+    n = g.n
+    prefix = [r for r in range(n) if mask >> r & 1]
+    free = [r for r in range(n) if not mask >> r & 1]
+    grade = oracle_alex2 if grading == "alex" else oracle_maslov2
+    # The prefix's relative value: its per-move shifts, plus its
+    # increasing pairs for maslov2 / 2.
+    own = sum(int(shift[c][r]) for c, r in enumerate(prefix))
+    if grading == "maslov":
+        own += len(prefix) * (len(prefix) - 1) // 2
+    return {(grade(g.x_cols, g.o_cols, prefix + list(rest)) - base) // 2 - own
+            for rest in permutations(free)}
+
+
+def test_completion_tables_match_brute_force_on_every_mask():
+    """For n <= 6, both gradings and every used-row mask, the relative
+    values the table marks reachable are those of the mask's completions.
+    Two grids of each size share the move groups cached for that size."""
+    rng = np.random.default_rng(46)
+    for n in range(2, 7):
+        generators._move_groups.cache_clear()
+        for _ in range(2):
+            g = random_grid(rng, n)
+            calc = GradingCalculator(g)
+            for grading in ("alex", "maslov"):
+                shift, base, _, counts = generators._completion_table(calc, grading)
+                for mask in range(1 << n):
+                    got = set(np.flatnonzero(np.diff(counts[mask])).tolist())
+                    want = _reachable_by_brute_force(g, grading, mask, shift, base)
+                    assert got == want, (n, grading, mask)
+        info = generators._move_groups.cache_info()
+        assert info.misses == 1 and info.hits == 3
+
+
+def test_verify_d2_catches_one_flipped_entry():
+    """Dropping an entry x -> y of a level complex, where y has a nonzero
+    boundary, leaves d^2 x = d y != 0."""
+    flipped = 0
+    for name in ["trefoil5", "figure_eight6", "knot_5_2_7"]:
+        g = load_corpus(name)
+        calc = GradingCalculator(g)
+        for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
+            lc = build_level_complex(g, a2)
+            verify_d2(lc.rows, lc.cols, lc.size)
+            has_boundary = set(lc.cols.tolist())
+            for i in range(len(lc.rows)):
+                if int(lc.rows[i]) in has_boundary:
+                    keep = np.arange(len(lc.rows)) != i
+                    with pytest.raises(InconsistentComplex, match="from generator"):
+                        verify_d2(lc.rows[keep], lc.cols[keep], lc.size)
+                    flipped += 1
+                    break
+    assert flipped >= 3

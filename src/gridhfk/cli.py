@@ -7,6 +7,10 @@ Subcommands:
     ledger    manage and query the polynomial ledger
     cable     predict the top group of a (p,q) cable
 
+Every grid a command loads or builds is simplified (``grids.simplify``)
+before anything is computed on it; the answers are those of the grid as
+given, and the ``--json`` report's ``grid_sizes`` gives both sizes.
+
 Exit codes: 0 success / verification passed, 1 a verification check
 failed (a theorem check, or an internal consistency check such as the
 Euler characteristic or exact division of the homology table), 2 input
@@ -15,6 +19,7 @@ exceeded (the generator budget, or memory ran out).
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,8 +41,14 @@ from .generators import (
     enumerate_all,  # noqa: F401
     generators_in_level,  # noqa: F401
 )
-from .grids import corpus_case_path, corpus_path, count_components, load_grid
-from .homology import homology_ranks
+from .grids import (
+    corpus_case_path,
+    corpus_path,
+    count_components,
+    load_grid,
+    simplify,
+)
+from .homology import homology_ranks, inflate
 from .invariants import (
     bottom_group,
     # Unused here, but perfbench's traced run wraps this name in this module.
@@ -78,6 +89,8 @@ class RunReport:
 
     command: list
     inputs: dict = field(default_factory=dict)   # label -> {path, sha256}
+    # label -> [input n, working n]: every grid is simplified before use
+    grid_sizes: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     generator_counts: dict = field(default_factory=dict)  # alex2 -> count
     wall_time: float = 0.0
@@ -88,6 +101,7 @@ class RunReport:
             "schema": self.schema,
             "command": list(self.command),
             "inputs": self.inputs,
+            "grid_sizes": self.grid_sizes,
             "results": self.results,
             "generator_counts": {str(k): v
                                  for k, v in self.generator_counts.items()},
@@ -98,6 +112,8 @@ class RunReport:
     def from_json(cls, data: dict) -> "RunReport":
         return cls(command=list(data["command"]),
                    inputs=data["inputs"],
+                   # optional: schema-1 reports older than the field lack it
+                   grid_sizes=data.get("grid_sizes", {}),
                    results=data["results"],
                    generator_counts={int(k): v
                                      for k, v in
@@ -127,6 +143,13 @@ def _resolve_input(path_str: str) -> Path:
     return path
 
 
+def _working(grid, label: str, sizes: dict):
+    """The simplified grid a command computes on; records both sizes."""
+    small = simplify(grid)
+    sizes[label] = [grid.n, small.n]
+    return small
+
+
 def _ranks_to_json(ranks: dict) -> list:
     return [[m2, a2, r] for (m2, a2), r in sorted(ranks.items())]
 
@@ -146,6 +169,7 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
     grid = load_grid(path)
     report = RunReport(command=_echo(args), inputs={"grid": _digest(path)})
     start = time.perf_counter()
+    grid = _working(grid, "grid", report.grid_sizes)
 
     if args.window == "bottom":
         # counts only the tilde levels the extremal scan visited
@@ -169,6 +193,10 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
         rank_fn = hat_ranks if args.hat else homology_ranks
         ranks = rank_fn(grid, args.max_generators,
                         level_sizes=report.generator_counts)
+        if not args.hat:
+            # The tilde table of the grid as given: each row and column
+            # that simplification removed is one more tensor factor.
+            ranks = inflate(ranks, report.grid_sizes["grid"][0] - grid.n)
         report.results = {"window": window,
                           "ranks": _ranks_to_json(ranks.ranks),
                           "total_rank": ranks.total_rank()}
@@ -186,12 +214,18 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
 # murasugi
 
 
+def _working_side(side: CaseSide, label: str, sizes: dict) -> CaseSide:
+    return dataclasses.replace(side, grid=_working(side.grid, label, sizes))
+
+
 def cmd_murasugi(args, out) -> tuple[int, RunReport]:
     start = time.perf_counter()
+    sizes = {}
     if args.connect:
         path_a = _resolve_input(args.connect[0])
         path_b = _resolve_input(args.connect[1])
-        ga, gb = load_grid(path_a), load_grid(path_b)
+        ga = _working(load_grid(path_a), "summand1", sizes)
+        gb = _working(load_grid(path_b), "summand2", sizes)
         # Each summand declares its doubled genus, read off the bottom
         # group that both theorem checks then reuse.
         groups = [bottom_group(g, args.max_generators) for g in (ga, gb)]
@@ -199,6 +233,8 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         side_b = CaseSide(gb, -groups[1].alex2, path_b.stem)
         case = make_connected_sum_case(
             f"{path_a.stem}#{path_b.stem}", side_a, side_b)
+        case = dataclasses.replace(case, total=_working_side(
+            case.total, "sum", sizes))
         groups.append(checked_bottom_group(case.total, "sum",
                                            args.max_generators))
         expect = {}
@@ -208,10 +244,14 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
             raise GridInputError("murasugi needs a case file or --connect")
         path = _resolve_case_input(args.case)
         case, expect = load_case(path)
+        case = dataclasses.replace(
+            case, summand1=_working_side(case.summand1, "summand1", sizes),
+            summand2=_working_side(case.summand2, "summand2", sizes),
+            total=_working_side(case.total, "sum", sizes))
         inputs = {"case": _digest(path)}
         groups = bottom_groups(case, args.max_generators)
 
-    report = RunReport(command=_echo(args), inputs=inputs)
+    report = RunReport(command=_echo(args), inputs=inputs, grid_sizes=sizes)
     r1 = verify_theorem1(case, groups)
     r2 = verify_theorem2(case, groups, args.max_generators)
     report.results = {
@@ -271,7 +311,8 @@ def cmd_ledger(args, out) -> tuple[int, RunReport]:
     elif sub == "add":
         if args.grid:
             path = _resolve_input(args.grid)
-            entry = entry_from_grid(args.name, load_grid(path), str(path),
+            grid = _working(load_grid(path), "grid", report.grid_sizes)
+            entry = entry_from_grid(args.name, grid, str(path),
                                     args.max_generators)
         else:
             if args.poincare is None or args.b1 is None:
@@ -356,6 +397,7 @@ def cmd_cable(args, out) -> tuple[int, RunReport]:
     if count_components(grid) != 1:
         raise GridInputError("cable prediction needs a knot (one component)")
     report = RunReport(command=_echo(args), inputs={"knot": _digest(path)})
+    grid = _working(grid, "knot", report.grid_sizes)
 
     ktop = top_group(grid, max_generators=args.max_generators)
     g2 = ktop.alex2  # the top group of a knot sits at its genus
@@ -378,7 +420,7 @@ def cmd_cable(args, out) -> tuple[int, RunReport]:
     code = 0
     if args.compare:
         cpath = _resolve_input(args.compare)
-        cgrid = load_grid(cpath)
+        cgrid = _working(load_grid(cpath), "comparison", report.grid_sizes)
         report.inputs["comparison"] = _digest(cpath)
         ctop = top_group(cgrid, max_generators=args.max_generators)
         match = (ctop.alex2, ctop.poincare) == (alex2, poly)

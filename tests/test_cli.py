@@ -12,7 +12,12 @@ import pytest
 from gridhfk.cli import DEFAULT_LEDGER, RunReport, run
 from gridhfk.grids import corpus_path, load_corpus
 
-from oracle import oracle_alex2, oracle_bottom_group, oracle_components
+from oracle import (
+    oracle_alex2,
+    oracle_bottom_group,
+    oracle_components,
+    oracle_tilde_ranks,
+)
 
 
 def invoke(*argv):
@@ -108,6 +113,31 @@ def test_compute_json_report_round_trips(tmp_path):
     assert sum(report.generator_counts.values()) == 120  # all of S_5
 
 
+def test_report_without_grid_sizes_still_loads():
+    # schema-1 reports written before grid_sizes existed lack the field
+    code, out, _ = invoke("--json", "compute", "corpus:trefoil5", "--hat")
+    assert code == 0
+    data = json.loads(out)
+    del data["grid_sizes"]
+    report = RunReport.from_json(data)
+    assert report.grid_sizes == {}
+    assert report.results == data["results"]
+
+
+def test_compute_reports_the_tilde_table_of_the_grid_as_given():
+    # trefoil6 is computed on a 5-grid; the full window still reports
+    # the tilde table of the 6-grid, and grid_sizes says both sizes.
+    code, out, _ = invoke("--json", "compute", "corpus:trefoil6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["grid_sizes"] == {"grid": [6, 5]}
+    g = load_corpus("trefoil6")
+    want = oracle_tilde_ranks(g.x_cols, g.o_cols)
+    assert {(m2, a2): r for m2, a2, r in data["results"]["ranks"]} == want
+    assert sum(data["generator_counts"].values()) == 120  # the 5-grid
+    assert RunReport.from_json(data).to_json() == data
+
+
 def test_compute_threads_do_not_change_the_report():
     reports = []
     for threads in ("1", "4"):
@@ -149,9 +179,9 @@ def test_murasugi_connect():
 
 
 def test_murasugi_resource_bound_is_exit_3():
-    # τ stops at the first Maslov slice that survives, but that slice and
-    # the one above it still hold 126 + 1 645 of the 10! states of the
-    # sum, far past the budget.
+    # The sum runs on an 8-grid.  τ stops at the first Maslov slice that
+    # survives, but listing that slice and the one above it (21 + 238
+    # states) passes the budget.
     code, out, err = invoke("--max-generators", "100", "murasugi",
                             "--connect", "corpus:trefoil5", "corpus:trefoil6")
     assert code == 3 and not out
@@ -160,22 +190,51 @@ def test_murasugi_resource_bound_is_exit_3():
 
 
 def test_murasugi_tau_lists_only_the_slices_it_visits():
-    # τ of the n = 10 sum stops at its lowest needed Maslov slice, which
-    # contributes: that slice and the one above it hold 126 + 1 645
-    # states, and the slices above them (10 251 more) are never listed.
-    code, out, err = invoke("--max-generators", "2000", "murasugi",
+    # τ of the sum, simplified from n = 9 to 8, stops at its lowest
+    # needed Maslov slice, which contributes: that slice and the one
+    # above it hold 21 + 238 states.  The next needed slice and the one
+    # above it hold 238 + 1 148, and the full 8-grid 40 320, so a τ that
+    # went past its first slice, or listed its slices together, would
+    # pass the budget of 300.
+    code, out, err = invoke("--max-generators", "300", "murasugi",
                             "--connect", "corpus:trefoil5", "corpus:trefoil6")
     assert code == 0 and not err
     assert out.count("pass") == 2
 
 
 def test_murasugi_tau_stays_within_a_budget_below_n_factorial():
-    # The n = 11 sum has 11! > 10^6 states; τ enumerates only its slices.
+    # The sum, simplified from n = 11 to 10, has 10! > 10^6 states; τ
+    # enumerates only its slices.
     code, out, err = invoke("--max-generators", "1000000", "murasugi",
                             "--connect", "corpus:torus_2_5_7",
                             "corpus:trefoil5")
     assert code == 0 and not err
     assert out.count("pass") == 2
+
+
+def test_murasugi_connect_knot_5_2_7_trefoil5_on_a_10_grid():
+    # The spliced 11-grid ran out of memory in τ; simplified to n = 10
+    # the command finishes.
+    code, out, err = invoke("--json", "murasugi", "--connect",
+                            "corpus:knot_5_2_7", "corpus:trefoil5")
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["grid_sizes"] == {"summand1": [7, 7], "summand2": [5, 5],
+                                  "sum": [11, 10]}
+    theorem2 = data["results"]["theorem2"]
+    assert theorem2["passed"] is True
+    flags = theorem2["details"]
+    assert flags["sum_tau_top_is_g"] == (flags["summand1_tau_top_is_g"]
+                                         and flags["summand2_tau_top_is_g"])
+
+
+def test_murasugi_case_sides_are_simplified():
+    code, out, _ = invoke("--json", "murasugi", "corpus:trefoil_connected_sum")
+    assert code == 0
+    sizes = json.loads(out)["grid_sizes"]
+    assert sorted(sizes) == ["sum", "summand1", "summand2"]
+    assert all(work <= given for given, work in sizes.values())
+    assert sizes["sum"][1] < sizes["sum"][0]
 
 
 def test_murasugi_without_input_is_exit_2():

@@ -85,9 +85,10 @@ def test_tracer_installs_records_and_removes(spans):
         assert all(vars(owner)[attr] is not original
                    for (owner, attr), original in zip(sites, before))
         out = io.StringIO()
-        # trefoil6 and not trefoil5: the tail of trefoil5 has no
-        # differential, so its table takes no GF(2) rank.
-        assert gridhfk.cli.run(["compute", "--hat", "corpus:trefoil6"],
+        # knot_5_2_7, a minimal grid: the tails of trefoil5 and of
+        # trefoil6, which the CLI simplifies to a 5-grid, have no
+        # differential, so their tables take no GF(2) rank.
+        assert gridhfk.cli.run(["compute", "--hat", "corpus:knot_5_2_7"],
                                out=out, err=io.StringIO()) == 0
     finally:
         tracer.remove()
@@ -169,7 +170,8 @@ def test_traced_murasugi_scans_each_link_once(spans):
 
 def test_traced_tau_images_only_the_slices_it_visits(spans):
     # τ stops at the first Maslov slice that survives: one image for each
-    # summand and one for the n = 10 sum, whose lowest slice contributes.
+    # summand and one for the sum (an 8-grid after simplification), whose
+    # lowest slice contributes.
     records = traced_run(spans, ["murasugi", "--connect", "corpus:trefoil5",
                                  "corpus:trefoil6"])
     assert sum(1 for name, _, _ in records

@@ -58,7 +58,7 @@ for perm in ((0, 1), (1, 0)):
 
 print("\nThe boundary map counts empty rectangles; it squares to zero:")
 for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-    lc = build_level_complex(unknot, a2)
+    lc = build_level_complex(calc, a2)
     verify_d2(lc.rows, lc.cols, lc.size)  # raises if the structure is broken
     print(f"  Alexander level {a2 / 2:+.1f}: {lc.size} generators, d^2 = 0  ok")
 

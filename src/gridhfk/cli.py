@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -318,8 +317,7 @@ def cmd_ledger(args, out) -> tuple[int, RunReport]:
             if args.poincare is None or args.b1 is None:
                 raise GridInputError(
                     "ledger add needs --grid, or --poincare with --b1")
-            poly = LaurentPoly({int(k): int(v)
-                                for k, v in json.loads(args.poincare).items()})
+            poly = LaurentPoly.from_json(json.loads(args.poincare))
             entry = LedgerEntry(args.name, poly, args.b1, "literature")
         ledger.add(entry)
         save_ledger(ledger, ledger_path)
@@ -454,21 +452,17 @@ def _common_options(parser, suppress=False):
     """
     defaults = {
         "json": argparse.SUPPRESS if suppress else False,
-        "threads": argparse.SUPPRESS if suppress else (os.cpu_count() or 1),
         "max_generators": (argparse.SUPPRESS if suppress
                            else DEFAULT_MAX_GENERATORS),
     }
     parser.add_argument("--json", action="store_true",
                         default=defaults["json"],
                         help="emit the full JSON run report on stdout")
-    parser.add_argument("--threads", type=int, default=defaults["threads"],
-                        help="accepted and ignored: every command runs "
-                             "in one thread")
     parser.add_argument("--max-generators", type=int,
                         default=defaults["max_generators"],
                         help="abort (exit 3) any level, subcomplex, "
-                             "table tail or full n! pass over more than "
-                             "this many generators")
+                             "Maslov slice pair or table tail over more "
+                             "than this many generators")
 
 
 # Built once per process and shared by every run: all defaults are

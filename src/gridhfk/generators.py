@@ -1,14 +1,13 @@
-"""Generator enumeration: full stream, graded subsets (a level, the
-levels up to a cutoff, a set of Maslov slices), and the per-level counts
-without enumeration.
+"""Generator enumeration: graded subsets (a level, the levels up to a
+cutoff, a set of Maslov slices), and the per-level counts without
+enumeration.
 
 Generators are permutations stored as (m, n) arrays, one row per
 generator, entry [i, c] being the row of the point on vertical circle
-c.  Graded enumeration returns int64 arrays in lexicographic order.
-The full set of n! generators is never held at once:
-``permutation_blocks`` streams it in lexicographic order as uint8
-blocks of (n-1)! rows, one block per value of the first column; only
-``enumerate_all`` reads it.
+c.  Graded enumeration returns int64 arrays in lexicographic order,
+and every routine takes the grid's GradingCalculator.  The full set
+of n! generators is listed only by ``enumerate_all``, which no command
+calls.
 
 Both gradings are sums of per-move terms over (column, used-row mask):
 placing row r in column c adds fa[c][r] to alex2, and fm[c][r] / 2
@@ -31,8 +30,7 @@ characteristic) of every level from a DP over (column, used-row mask),
 in about n 2^n steps per level and without listing a generator.
 
 Every enumeration routine takes a generator budget and raises
-GridResourceError once it would list more than that many rows: the
-full stream checks n! before building any block, and graded
+GridResourceError once it would list more than that many rows: graded
 enumeration checks each column's partials, which never outnumber the
 rows of the result, before the result is allocated.
 """
@@ -40,73 +38,32 @@ rows of the result, before the result is allocated.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .errors import GridResourceError
-from .gradings import GradingCalculator
 
 DEFAULT_MAX_GENERATORS = 100_000_000
 
 
-def _as_calc(grid_or_calc):
-    if isinstance(grid_or_calc, GradingCalculator):
-        return grid_or_calc
-    return GradingCalculator(grid_or_calc)
+def enumerate_all(grid, max_generators=DEFAULT_MAX_GENERATORS):
+    """All n! generators as one uint8 (n!, n) array, in lexicographic order.
 
-
-def _lex_table(k):
-    """All k! permutations of range(k) as a uint8 (k!, k) array, lexicographic.
-
-    The table for k is built from the one for k - 1: the rows starting
-    with f are f followed by the smaller table with every entry >= f
-    raised by one, a map that keeps the lexicographic order.
+    Only ``grid.n`` is read, so a grid or its calculator will do.
+    Raises GridResourceError, before listing any generator, when n!
+    exceeds the budget.
     """
-    table = np.zeros((1, 0), dtype=np.uint8, order="F")
-    for size in range(1, k + 1):
-        m = len(table)
-        grown = np.empty((size * m, size), dtype=np.uint8, order="F")
-        for f in range(size):
-            _prepend(table, f, grown[f * m:(f + 1) * m])
-        table = grown
-    return table
-
-
-def _prepend(table, f, out):
-    """Fill ``out`` with the rows f, then ``table`` with entries >= f raised."""
-    out[:, 0] = f
-    np.add(table, table >= f, out=out[:, 1:])
-    return out
-
-
-def permutation_blocks(n, max_generators=DEFAULT_MAX_GENERATORS):
-    """Iterator over all n! generators in lexicographic order, in blocks.
-
-    Block f is the uint8 ((n-1)!, n) array of the permutations whose
-    first entry is f, stored column-major so each column is contiguous
-    for the graders.  Raises GridResourceError, before building any
-    block, when n! exceeds the budget.
-    """
+    n = grid.n
     total = math.factorial(n)
     if total > max_generators:
         raise GridResourceError(
             f"full enumeration of {total} generators exceeds the budget {max_generators}",
             estimate=total,
         )
-    return _blocks(n)
-
-
-def _blocks(n):
-    table = _lex_table(n - 1)
-    for f in range(n):
-        yield _prepend(table, f, np.empty((len(table), n), dtype=np.uint8,
-                                          order="F"))
-
-
-def enumerate_all(grid_or_calc, max_generators=DEFAULT_MAX_GENERATORS):
-    """All n! generators as one uint8 (n!, n) array, in lexicographic order."""
-    return np.concatenate(list(permutation_blocks(grid_or_calc.n, max_generators)))
+    rows = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(rows, dtype=np.uint8, count=total * n).reshape(total, n)
 
 
 def _completion_table(calc, grading):
@@ -319,18 +276,17 @@ def level_counts(calc):
             for i in np.flatnonzero(count[0]).tolist()}
 
 
-def generators_in_level(grid_or_calc, alex2, max_generators=DEFAULT_MAX_GENERATORS):
+def generators_in_level(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """All generators with the given doubled Alexander grading.
 
     Returns an empty (0, n) array when the level is empty; an empty
     level is data, not an error.
     """
-    return graded_generators(_as_calc(grid_or_calc), "alex", [alex2], max_generators)
+    return graded_generators(calc, "alex", [alex2], max_generators)
 
 
-def generators_up_to(grid_or_calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
+def generators_up_to(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """All generators with alex2 at most the cutoff."""
-    calc = _as_calc(grid_or_calc)
     top = min(cutoff_alex2, calc.level_ceiling())
     return graded_generators(calc, "alex", range(calc.level_floor(), top + 1),
                              max_generators)

@@ -20,6 +20,11 @@ The doubled Alexander grading splits as a sum of one contribution per
 generator point plus a grid constant, and maslov2 / 2 as such a sum plus
 the count of increasing pairs; the enumeration module builds its
 completion tables from these terms and caches them on the calculator.
+
+The calculator is the one per-grid object below the entry points of
+``homology`` and ``invariants``: it holds the gradings, the component
+count, the completion tables and the grid's RectangleCounter, and every
+function beneath those entry points takes it in place of the grid.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import count_components
+from .rectangles import RectangleCounter
 
 
 def _pair_tables(cols, n):
@@ -64,7 +70,8 @@ def _marking_self_pairs(cols):
 
 
 class GradingCalculator:
-    """Precomputed tables evaluating maslov2 and alex2 for one grid."""
+    """Precomputed tables of one grid: its gradings, completion tables
+    and rectangle counts."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -87,6 +94,7 @@ class GradingCalculator:
 
         # Completion tables of the enumeration, built on first use.
         self.completion_tables = {}
+        self.rectangles = RectangleCounter(grid)
 
     def alex2(self, perm):
         return int(sum(self.fa[c, r] for c, r in enumerate(perm))) + self.alex_const

@@ -1,5 +1,11 @@
 """Level complexes, bigraded homology ranks, and the two-step filtration.
 
+The entry points ``homology_ranks`` and ``induced_map_ranks`` take a
+grid and build its one GradingCalculator; everything below them,
+``build_level_complex`` and ``build_two_step`` included, takes that
+calculator, whose completion tables and rectangle counts they share.
+A boundary's target basis is passed as an array of generators.
+
 The level complex at doubled Alexander grading s is spanned by the
 generators of that level with the boundary counting rectangles empty of
 all markings; it splits along maslov2 into blocks mapping m2 -> m2 - 2,
@@ -26,9 +32,10 @@ on homology induced by its inclusion is computed per Maslov slice as
     dim Z_S - dim(Z_S  intersect  image of the full boundary)
 
 with the image intersected against the subcomplex coordinates by an
-elimination whose bit order lists subcomplex generators first.  Every
-vector, kernel tags included, is a Python-int bitset as ``gf2`` takes
-and returns it, so a cycle is read off its tag bit by bit.  Slices
+elimination whose bit order lists subcomplex generators first, in the
+order of the subcomplex's own slice.  Every vector is a Python-int
+bitset as ``gf2`` takes and returns it, so a kernel tag of the
+subcomplex is already its cycle as a vector of the full slice.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
 vanishes there and the induced map contributes nothing.  Every
@@ -62,7 +69,7 @@ from .generators import (
     level_counts,
 )
 from .gradings import GradingCalculator
-from .rectangles import MODE_FILTERED, MODE_LEVEL, RectangleCounter, boundary_entries
+from .rectangles import MODE_FILTERED, MODE_LEVEL, boundary_entries
 
 
 @dataclass
@@ -85,27 +92,30 @@ class LevelComplex:
         return len(self.gens) == 0
 
 
-def _canonical_order(gens, maslov2):
-    """Sort lexicographic generators by maslov2, keeping their order within."""
-    order = np.argsort(maslov2, kind="stable")
-    return gens[order], maslov2[order]
+def _graded_boundary(calc, gens, mode):
+    """Canonical order, maslov2 and the boundary of ``gens`` among themselves.
+
+    ``gens`` are lexicographic; they are sorted by maslov2, keeping that
+    order within each slice, and the boundary is restricted to them.
+    Returns (gens, maslov2, rows, cols).
+    """
+    m2 = calc.maslov2_batch(gens)
+    order = np.argsort(m2, kind="stable")
+    gens, m2 = gens[order], m2[order]
+    rows, cols = boundary_entries(calc.rectangles, gens, gens, mode)
+    return gens, m2, rows, cols
 
 
-def build_level_complex(grid, alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                        calc=None, counter=None, gens=None):
-    """The level complex at alex2.
+def build_level_complex(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS,
+                        gens=None):
+    """The level complex at alex2 of the calculator's grid.
 
     ``gens``, when given, are all int64 generators of that level in
     lexicographic order, and enumeration is skipped.
     """
-    calc = calc or GradingCalculator(grid)
-    counter = counter or RectangleCounter(grid)
     if gens is None:
         gens = generators_in_level(calc, alex2, max_generators)
-    m2 = calc.maslov2_batch(gens) if len(gens) else np.empty(0, dtype=np.int64)
-    gens, m2 = _canonical_order(gens, m2)
-    lookup = {int(k): i for i, k in enumerate(encode_perms(gens, calc.n))} if len(gens) else {}
-    rows, cols = boundary_entries(counter, gens, lookup, MODE_LEVEL)
+    gens, m2, rows, cols = _graded_boundary(calc, gens, MODE_LEVEL)
     return LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2,
                         rows=rows, cols=cols)
 
@@ -274,7 +284,6 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
     number of generators of every non-empty level, in increasing alex2.
     """
     calc = GradingCalculator(grid)
-    counter = RectangleCounter(grid)
     k = calc.n - calc.components
     levels = level_counts(calc)
     if level_sizes is not None:
@@ -289,8 +298,7 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
     alex2 = calc.alex2_batch(gens)
     ranks = {}
     for s in tail:
-        lc = build_level_complex(grid, s, max_generators, calc=calc,
-                                 counter=counter, gens=gens[alex2 == s])
+        lc = build_level_complex(calc, s, max_generators, gens=gens[alex2 == s])
         for m2, r in level_homology_ranks(lc).items():
             ranks[(m2, s)] = r
     hat = deflate_to_hat(BigradedRanks(ranks), k, top=-2 * k).ranks
@@ -324,17 +332,10 @@ class TwoStepFiltration:
     cols: np.ndarray
 
 
-def build_two_step(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                   calc=None, counter=None):
-    calc = calc or GradingCalculator(grid)
-    counter = counter or RectangleCounter(grid)
+def build_two_step(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
+    """The subcomplex of the generators at or below the cutoff."""
     gens = generators_up_to(calc, cutoff_alex2, max_generators)
-    if len(gens):
-        gens, m2 = _canonical_order(gens, calc.maslov2_batch(gens))
-    else:
-        m2 = np.empty(0, dtype=np.int64)
-    lookup = {int(k): i for i, k in enumerate(encode_perms(gens, calc.n))} if len(gens) else {}
-    rows, cols = boundary_entries(counter, gens, lookup, MODE_FILTERED)
+    gens, m2, rows, cols = _graded_boundary(calc, gens, MODE_FILTERED)
     return TwoStepFiltration(gens=gens, maslov2=m2, rows=rows, cols=cols)
 
 
@@ -367,9 +368,7 @@ def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS)
     bounds the slices visited and not n!.
     """
     calc = GradingCalculator(grid)
-    counter = RectangleCounter(grid)
-    filt = build_two_step(grid, cutoff_alex2, max_generators,
-                          calc=calc, counter=counter)
+    filt = build_two_step(calc, cutoff_alex2, max_generators)
     if len(filt.gens) == 0:
         return
     cycles = _sub_cycles_by_maslov(filt)
@@ -382,33 +381,20 @@ def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS)
         members, kern = cycles[m2]
         pair = graded_generators(calc, "maslov", {m2, m2 + 2}, max_generators)
         pair_m2 = calc.maslov2_batch(pair)
-        # Full slice at m2, subcomplex generators first (low bits).
+        # The full slice at m2 with the subcomplex generators first, in
+        # the order of the kernel tags, so that bit k of a tag and of an
+        # image vector stand for the same generator (low bits).
         slice_gens = pair[pair_m2 == m2]
-        keys = encode_perms(slice_gens, calc.n)
-        in_sub = np.isin(keys, sub_keys)
-        keys = np.concatenate([keys[in_sub], keys[~in_sub]])
-        lookup = dict(zip(keys.tolist(), range(len(keys))))
-        n_sub = int(in_sub.sum())
-
-        # Bit positions of the sub generators of this slice must agree
-        # between the cycle vectors and the image vectors.
-        order = np.argsort(keys)
-        member_pos = order[np.searchsorted(keys[order],
-                                           encode_perms(members, calc.n))].tolist()
+        outside = ~np.isin(encode_perms(slice_gens, calc.n), sub_keys)
+        basis = np.concatenate([members, slice_gens[outside]])
 
         sources = pair[pair_m2 == m2 + 2]
-        rows, cols = boundary_entries(counter, sources, lookup, MODE_FILTERED)
-        image_vectors = gf2.image_in_prefix(rows, cols, len(keys),
-                                            len(sources), n_sub)
-
-        # Bit k of a kernel tag stands for the k-th member of the slice.
-        cycle_vectors = [
-            gf2.vector_from_indices(pos for k, pos in enumerate(member_pos)
-                                    if tag >> k & 1)
-            for tag in kern]
-
-        meet = gf2.span_intersection_dim(cycle_vectors, image_vectors, n_sub)
-        yield len(cycle_vectors) - meet
+        rows, cols = boundary_entries(calc.rectangles, sources, basis,
+                                      MODE_FILTERED)
+        image_vectors = gf2.image_in_prefix(rows, cols, len(basis),
+                                            len(sources), len(members))
+        meet = gf2.span_intersection_dim(kern, image_vectors, len(members))
+        yield len(kern) - meet
 
 
 def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):

@@ -15,6 +15,10 @@ group of the mirror.  By the symmetry
 HFK_d(a) = HFK_{d-2a}(-a), the top group sits at the genus, and a link
 and its mirror have the same genus.
 
+Each of ``bottom_group``, ``state_sum`` and the ``homology`` entry
+points behind ``hat_ranks`` and τ builds one GradingCalculator for its
+grid and shares it with every layer beneath.
+
 The full hat table is the tilde table of ``homology_ranks`` (built
 from the bottom tail of levels and the symmetry, and checked against
 the per-level Euler characteristic on every call) divided by
@@ -47,7 +51,6 @@ from .homology import (
     level_homology_ranks,
 )
 from .polynomials import LaurentPoly, divide_exact
-from .rectangles import RectangleCounter
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,9 @@ def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS,
     tilde level the scan built, in increasing alex2.
     """
     calc = GradingCalculator(grid)
-    counter = RectangleCounter(grid)
     shift = 2 * (calc.n - calc.components)
     for s in graded_levels(calc, "alex"):
-        lc = build_level_complex(grid, s, max_generators, calc=calc, counter=counter)
+        lc = build_level_complex(calc, s, max_generators)
         if level_sizes is not None:
             level_sizes[s] = lc.size
         ranks = level_homology_ranks(lc)
@@ -165,11 +167,9 @@ def state_sum(grid):
 
 def alexander_polynomial(grid):
     """Symmetrized Alexander polynomial with value +1 at t = 1."""
-    calc = GradingCalculator(grid)
-    raw = state_sum(grid)
-    den = LaurentPoly({0: 1, 1: -1}) if calc.n > 1 else LaurentPoly.one()
-    poly = raw
-    for _ in range(calc.n - 1):
+    poly = state_sum(grid)
+    den = LaurentPoly({0: 1, 1: -1}) if grid.n > 1 else LaurentPoly.one()
+    for _ in range(grid.n - 1):
         quotient = divide_exact(poly, den)
         if quotient is None:
             raise InconsistentComplex("state sum is not divisible by (1 - t)^(n-1)")

@@ -136,6 +136,9 @@ class LedgerEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "LedgerEntry":
+        if not isinstance(data, dict):
+            raise GridInputError(f"a ledger entry must be a JSON object, "
+                                 f"not {type(data).__name__}")
         return cls(data["name"], LaurentPoly.from_json(data["top_poincare"]),
                    int(data["b1_min"]), data.get("source", "computed"),
                    data.get("grid", ""))
@@ -257,7 +260,12 @@ def load_ledger(path) -> Ledger:
     if not path.exists():
         return ledger
     data = json.loads(path.read_text())
-    for obj in data.get("entries", []):
+    if not isinstance(data, dict):
+        raise GridInputError(f"{path}: a ledger file must hold a JSON object")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        raise GridInputError(f"{path}: the ledger's entries must be a list")
+    for obj in entries:
         ledger.add(LedgerEntry.from_json(obj))
     return ledger
 

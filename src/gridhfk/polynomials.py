@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .errors import GridInputError
+
 
 @dataclass(frozen=True)
 class LaurentPoly:
@@ -124,6 +126,9 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise GridInputError(f"a polynomial must be a JSON object of "
+                                 f"exponent: coefficient, not {type(data).__name__}")
         return cls({int(e): int(c) for e, c in data.items()})
 
 

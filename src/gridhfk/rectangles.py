@@ -24,9 +24,10 @@ from prefix sums over a doubled board, read by flat fancy indexing.
 
 ``boundary_entries`` runs over all (source, ci, width) triples at once,
 in passes of at most ``_CHUNK`` triples, so memory stays flat whatever
-the number of sources.  The targets of each pass are found among the
-sorted target keys with one ``np.searchsorted``, and the multiplicity of
-every (source, target) pair is reduced mod 2 by one
+the number of sources.  The target basis is an array of generators,
+packed into mixed-radix int64 keys and sorted once; the targets of
+each pass are found among those keys with one ``np.searchsorted``, and
+the multiplicity of every (source, target) pair is reduced mod 2 by one
 ``np.unique(..., return_counts=True)`` over all passes.
 """
 
@@ -75,32 +76,29 @@ class RectangleCounter:
         return self._count(self._po, c0, width, r0, height)
 
 
-def boundary_entries(counter, sources, target_lookup, mode):
+def boundary_entries(counter, sources, targets, mode):
     """Sparse boundary entries for an array of source generators.
 
-    ``target_lookup`` maps encoded permutations to row indices of the
-    target basis; rectangles landing outside it are dropped, which is
-    how level and Maslov-slice restrictions are imposed.  Sources must
-    be a signed integer array (int64), since the target keys are built
-    from row differences.  Returns (target_rows, source_cols) index
-    arrays with multiplicity already reduced mod 2 (the two rectangles
-    of a transposition are distinct rectangles, each contributing one
-    entry; coincidences cancel), ordered by source, then target.
+    ``targets`` is the target basis as an int64 (k, n) array, row i
+    being basis vector i; rectangles landing outside it are dropped,
+    which is how level and Maslov-slice restrictions are imposed.
+    Sources must be a signed integer array (int64), since the target
+    keys are built from row differences.  Returns (target_rows,
+    source_cols) index arrays with multiplicity already reduced mod 2
+    (the two rectangles of a transposition are distinct rectangles, each
+    contributing one entry; coincidences cancel), ordered by source,
+    then target.
     """
     n = counter.n
     m = len(sources)
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if m == 0 or n < 2 or not target_lookup:
+    if m == 0 or n < 2 or len(targets) == 0:
         return empty
-    keys = np.fromiter(target_lookup.keys(), dtype=np.int64,
-                       count=len(target_lookup))
-    index = np.fromiter(target_lookup.values(), dtype=np.int64,
-                        count=len(target_lookup))
-    order = np.argsort(keys)
-    keys = keys[order]
-    index = index[order]
-    span = int(index.max()) + 1
     weights = n ** np.arange(n, dtype=np.int64)
+    keys = targets @ weights
+    index = np.argsort(keys)
+    keys = keys[index]
+    span = len(targets)
     # Markings that may not lie inside a counted rectangle, as a flat
     # doubled prefix table indexed by column * stride + row.
     marks = counter._po if mode == MODE_FILTERED else counter._po + counter._px

@@ -205,7 +205,7 @@ def test_criterion_8_property_suite():
             g = random_grid(rng, int(rng.integers(2, 7)))
             calc = GradingCalculator(g)
             for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-                lc = build_level_complex(g, a2)
+                lc = build_level_complex(calc, a2)
                 verify_d2(lc.rows, lc.cols, lc.size)  # raises on failure
 
         # Grading relations on rectangle-connected generator pairs.

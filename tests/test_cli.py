@@ -138,17 +138,6 @@ def test_compute_reports_the_tilde_table_of_the_grid_as_given():
     assert RunReport.from_json(data).to_json() == data
 
 
-def test_compute_threads_do_not_change_the_report():
-    reports = []
-    for threads in ("1", "4"):
-        code, out, _ = invoke("--json", "--threads", threads,
-                              "compute", "corpus:figure_eight6")
-        assert code == 0
-        data = json.loads(out)
-        reports.append((data["results"], data["generator_counts"]))
-    assert reports[0] == reports[1]
-
-
 # --------------------------------------------------------------------------
 # murasugi
 
@@ -402,6 +391,22 @@ def test_ledger_error_paths(ledger_file):
     # add without data
     code, _, err = invoke("ledger", "--file", ledger_file, "add", "empty")
     assert code == 2 and "--grid" in err
+
+
+@pytest.mark.parametrize("content, argv", [
+    ("[]", ["show"]),
+    ('{"entries": [1]}', ["show"]),
+    ('{"entries": {"a": {"name": "a", "top_poincare": {"0": 1}, '
+     '"b1_min": 0, "source": "literature"}}}', ["show"]),
+    (None, ["add", "x", "--poincare", "[1]", "--b1", "1"]),
+])
+def test_ledger_input_of_the_wrong_shape_is_exit_2(ledger_file, content, argv):
+    if content is not None:
+        with open(ledger_file, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    code, _, err = invoke("ledger", "--file", ledger_file, *argv)
+    assert code == 2
+    assert err.startswith("GridInputError") and err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

@@ -13,14 +13,12 @@ from gridhfk import homology
 from gridhfk.cli import run
 from gridhfk.errors import GridResourceError
 from gridhfk.generators import (
-    encode_perms,
     enumerate_all,
     generators_in_level,
     generators_up_to,
     graded_generators,
     graded_levels,
     level_counts,
-    permutation_blocks,
 )
 from gridhfk.gradings import GradingCalculator
 from gridhfk.grids import load_corpus
@@ -68,7 +66,7 @@ def test_levels_partition_all_permutations():
         seen = set()
         total = 0
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-            gens = generators_in_level(g, a2)
+            gens = generators_in_level(calc, a2)
             total += len(gens)
             for p in gens:
                 key = tuple(int(v) for v in p)
@@ -92,15 +90,15 @@ def test_level_enumeration_is_lexicographic():
     g = load_corpus("trefoil5")
     calc = GradingCalculator(g)
     for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-        gens = generators_in_level(g, a2)
+        gens = generators_in_level(calc, a2)
         as_tuples = [tuple(int(v) for v in p) for p in gens]
         assert as_tuples == sorted(as_tuples)
 
 
 def test_out_of_range_level_is_empty_not_error():
-    g = load_corpus("unknot2")
-    assert len(generators_in_level(g, 10**6)) == 0
-    assert len(generators_in_level(g, 1)) == 0  # wrong parity
+    calc = GradingCalculator(load_corpus("unknot2"))
+    assert len(generators_in_level(calc, 10**6)) == 0
+    assert len(generators_in_level(calc, 1)) == 0  # wrong parity
 
 
 def test_generators_up_to_matches_filter():
@@ -109,7 +107,7 @@ def test_generators_up_to_matches_filter():
         g = random_grid(rng, 5)
         calc = GradingCalculator(g)
         cutoff = int(calc.level_floor()) + 4
-        got = {tuple(int(v) for v in p) for p in generators_up_to(g, cutoff)}
+        got = {tuple(int(v) for v in p) for p in generators_up_to(calc, cutoff)}
         want = {p for p in permutations(range(5))
                 if calc.gradings(p)[1] <= cutoff}
         assert got == want
@@ -140,7 +138,7 @@ def test_graded_generators_match_a_filter_of_all_permutations():
         g = random_grid(rng, n)
         components[oracle_components(g.x_cols, g.o_cols)] += 1
         calc = GradingCalculator(g)
-        perms = np.concatenate(list(permutation_blocks(n))).astype(np.int64)
+        perms = np.array(list(permutations(range(n))), dtype=np.int64)
         rows = perms.tolist()
         alex2 = np.array([oracle_alex2(g.x_cols, g.o_cols, p) for p in rows])
         maslov2 = np.array([oracle_maslov2(g.x_cols, g.o_cols, p)
@@ -172,28 +170,13 @@ def test_graded_generators_match_a_filter_of_all_permutations():
 
 def test_resource_guard_trips():
     g = load_corpus("torus_2_5_7")
-    with pytest.raises(GridResourceError):
-        enumerate_all(g, max_generators=100)
-
-
-def test_permutation_blocks_are_lexicographic_uint8():
-    for n in range(1, 8):
-        blocks = list(permutation_blocks(n))
-        assert len(blocks) == n
-        for f, block in enumerate(blocks):
-            assert block.dtype == np.uint8
-            assert block.shape == (factorial(n - 1), n)
-            assert np.all(block[:, 0] == f)
-        rows = [tuple(int(v) for v in p) for p in np.concatenate(blocks)]
-        assert rows == list(permutations(range(n)))
-
-
-def test_permutation_blocks_budget_trips_before_any_block():
-    # The check runs when the iterator is made, not when it is first read.
     with pytest.raises(GridResourceError) as info:
-        permutation_blocks(7, max_generators=factorial(7) - 1)
-    assert info.value.estimate == factorial(7)
-    assert len(list(permutation_blocks(7, max_generators=factorial(7)))) == 7
+        enumerate_all(g, max_generators=factorial(g.n) - 1)
+    assert info.value.estimate == factorial(g.n)
+    # At the budget: every generator, as uint8 rows in lexicographic order.
+    perms = enumerate_all(g, max_generators=factorial(g.n))
+    assert perms.dtype == np.uint8
+    assert [tuple(p) for p in perms.tolist()] == list(permutations(range(g.n)))
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +207,7 @@ def test_boundary_matches_oracle_on_random_levels():
         calc = GradingCalculator(g)
         levels = range(calc.level_floor(), calc.level_ceiling() + 1, 2)
         for a2 in levels:
-            lc = build_level_complex(g, a2)
+            lc = build_level_complex(calc, a2)
             if lc.is_empty:
                 continue
             gens = [tuple(int(v) for v in p) for p in lc.gens]
@@ -245,7 +228,7 @@ def test_d_squared_zero_on_100_random_grids():
         g = random_grid(rng, int(rng.integers(2, 7)))
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-            lc = build_level_complex(g, a2)
+            lc = build_level_complex(calc, a2)
             verify_d2(lc.rows, lc.cols, lc.size)  # raises on failure
         checked += 1
     assert checked == 100
@@ -257,7 +240,7 @@ def test_d_squared_zero_on_corpus_up_to_seven():
         g = load_corpus(name)
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-            lc = build_level_complex(g, a2)
+            lc = build_level_complex(calc, a2)
             verify_d2(lc.rows, lc.cols, lc.size)
 
 
@@ -267,7 +250,7 @@ def test_boundary_entries_are_transpositions_dropping_maslov_by_two():
         g = random_grid(rng, int(rng.integers(3, 7)))
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-            lc = build_level_complex(g, a2)
+            lc = build_level_complex(calc, a2)
             for tgt, src in zip(lc.rows.tolist(), lc.cols.tolist()):
                 diff = np.flatnonzero(lc.gens[tgt] != lc.gens[src])
                 assert len(diff) == 2
@@ -332,7 +315,7 @@ def test_euler_characteristic_symmetry_for_knots():
 
 
 # --------------------------------------------------------------------------
-# streamed full passes on uint8 blocks
+# uint8 generator arrays
 
 
 def test_batch_gradings_on_uint8_blocks_match_scalar():
@@ -340,7 +323,8 @@ def test_batch_gradings_on_uint8_blocks_match_scalar():
     for _ in range(20):
         g = random_grid(rng, int(rng.integers(2, 8)))
         calc = GradingCalculator(g)
-        for block in permutation_blocks(g.n):
+        perms = np.array(list(permutations(range(g.n))), dtype=np.uint8)
+        for block in np.split(perms, g.n):
             rows = block[rng.choice(len(block), size=min(len(block), 15),
                                     replace=False)]
             m2 = calc.maslov2_batch(rows)
@@ -358,16 +342,14 @@ def test_boundary_entries_same_for_int64_and_cast_kept_rows():
         reference = np.array(list(permutations(range(g.n))), dtype=np.int64)
         ref_m2 = calc.maslov2_batch(reference)
         m2 = int(np.median(ref_m2)) // 2 * 2
-        kept = np.concatenate([b[calc.maslov2_batch(b) == m2]
-                               for b in permutation_blocks(g.n)])
-        kept = kept.astype(np.int64)
+        small = reference.astype(np.uint8)
+        kept = small[calc.maslov2_batch(small) == m2].astype(np.int64)
         assert len(kept) and np.array_equal(kept, reference[ref_m2 == m2])
         targets = reference[ref_m2 == m2 - 2]
-        lookup = {int(k): i for i, k in enumerate(encode_perms(targets, g.n))}
         for mode in (MODE_LEVEL, MODE_FILTERED):
             want = boundary_entries(counter, reference[ref_m2 == m2],
-                                    lookup, mode)
-            got = boundary_entries(counter, kept, lookup, mode)
+                                    targets, mode)
+            got = boundary_entries(counter, kept, targets, mode)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -416,7 +398,7 @@ def test_one_pass_table_matches_oracle_and_per_level_complexes():
         assert table == oracle_tilde_ranks(g.x_cols, g.o_cols), g
         per_level = {}
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1):
-            for m2, r in level_homology_ranks(build_level_complex(g, a2)).items():
+            for m2, r in level_homology_ranks(build_level_complex(calc, a2)).items():
                 per_level[(m2, a2)] = r
         assert table == per_level, g
     assert max(components) > 1  # links are among the grids
@@ -448,16 +430,16 @@ def test_one_pass_level_complex_from_given_gens_skips_enumeration(monkeypatch):
     want = {}
     gens = {}
     for a2 in range(calc.level_floor(), calc.level_ceiling() + 1):
-        lc = build_level_complex(g, a2)
+        lc = build_level_complex(calc, a2)
         want[a2] = (lc.gens, lc.maslov2, lc.rows, lc.cols)
-        gens[a2] = generators_in_level(g, a2)
+        gens[a2] = generators_in_level(calc, a2)
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("gens= must skip level enumeration")
 
     monkeypatch.setattr(homology, "generators_in_level", no_enumeration)
     for a2, expect in want.items():
-        lc = build_level_complex(g, a2, gens=gens[a2])
+        lc = build_level_complex(calc, a2, gens=gens[a2])
         for got, ref in zip((lc.gens, lc.maslov2, lc.rows, lc.cols), expect):
             assert np.array_equal(got, ref)
 

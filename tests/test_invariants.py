@@ -300,3 +300,29 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(pytest.main([__file__, "-q"]))
+
+
+def test_each_entry_point_builds_one_calculator_and_one_counter(monkeypatch):
+    """The GradingCalculator is the one per-grid object: every entry point
+    builds it once, with the grid's RectangleCounter, and the layers
+    beneath share it."""
+    from gridhfk.gradings import GradingCalculator
+    from gridhfk.rectangles import RectangleCounter
+
+    built = []
+    for cls in (GradingCalculator, RectangleCounter):
+        def counted(self, grid, original=cls.__init__, name=cls.__name__):
+            built.append(name)
+            original(self, grid)
+        monkeypatch.setattr(cls, "__init__", counted)
+    g = corpus("figure_eight6")
+    calls = {
+        "bottom_group": lambda: bottom_group(g),
+        "homology_ranks": lambda: homology_ranks(g),
+        "tau_bot_is_minus_g": lambda: tau_bot_is_minus_g(g, genus2_hint=2),
+        "alexander_polynomial": lambda: alexander_polynomial(g),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert sorted(built) == ["GradingCalculator", "RectangleCounter"], name

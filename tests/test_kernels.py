@@ -17,7 +17,6 @@ from gridhfk import generators, rectangles
 from gridhfk.errors import InconsistentComplex
 from gridhfk.gf2 import image_in_prefix, kernel_basis, matrix_rank
 from gridhfk.gradings import GradingCalculator
-from gridhfk.generators import encode_perms
 from gridhfk.grids import load_corpus
 from gridhfk.homology import build_level_complex, verify_d2
 from gridhfk.rectangles import (
@@ -124,8 +123,7 @@ def test_filtered_boundary_into_one_maslov_slice_matches_oracle():
         for top in np.unique(m2).tolist():
             sources = perms[m2 == top]
             targets = perms[m2 == top - 2]
-            lookup = {int(k): i for i, k in enumerate(encode_perms(targets, g.n))}
-            rows, cols = boundary_entries(counter, sources, lookup, MODE_FILTERED)
+            rows, cols = boundary_entries(counter, sources, targets, MODE_FILTERED)
             got = set(zip(rows.tolist(), cols.tolist()))
             want = set(oracle_boundary_pairs(g.x_cols, g.o_cols, sources.tolist(),
                                              targets=targets.tolist(),
@@ -139,8 +137,8 @@ def test_filtered_boundary_with_empty_lookup_is_empty():
     for _ in range(5):
         g = random_grid(rng, int(rng.integers(2, 6)))
         sources = np.array(list(permutations(range(g.n))), dtype=np.int64)
-        rows, cols = boundary_entries(RectangleCounter(g), sources, {},
-                                      MODE_FILTERED)
+        rows, cols = boundary_entries(RectangleCounter(g), sources,
+                                      sources[:0], MODE_FILTERED)
         assert len(rows) == len(cols) == 0
         assert oracle_boundary_pairs(g.x_cols, g.o_cols, sources.tolist(),
                                      targets=[], mode="filtered") == []
@@ -158,12 +156,11 @@ def test_boundary_entries_in_uneven_passes_match_oracle(monkeypatch, per_pass):
         perms = np.array(list(permutations(range(n))), dtype=np.int64)
         count = 4 * per_pass + 1
         sources = perms[rng.choice(len(perms), size=count, replace=False)]
-        lookup = {int(k): i for i, k in enumerate(encode_perms(perms, n))}
         for mode in (MODE_LEVEL, MODE_FILTERED):
-            whole = boundary_entries(counter, sources, lookup, mode)
+            whole = boundary_entries(counter, sources, perms, mode)
             with monkeypatch.context() as patch:
                 patch.setattr(rectangles, "_CHUNK", per_pass * n * (n - 1))
-                rows, cols = boundary_entries(counter, sources, lookup, mode)
+                rows, cols = boundary_entries(counter, sources, perms, mode)
             want = oracle_boundary_pairs(g.x_cols, g.o_cols, sources.tolist(),
                                          targets=perms.tolist(), mode=mode)
             assert sorted(zip(cols.tolist(), rows.tolist())) == sorted(
@@ -220,7 +217,7 @@ def test_verify_d2_catches_one_flipped_entry():
         g = load_corpus(name)
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
-            lc = build_level_complex(g, a2)
+            lc = build_level_complex(calc, a2)
             verify_d2(lc.rows, lc.cols, lc.size)
             has_boundary = set(lc.cols.tolist())
             for i in range(len(lc.rows)):

@@ -12,6 +12,8 @@ structural facts everything else in the package leans on:
   * the hat table does not depend on which grid presents the link.
 """
 
+import numpy as np
+
 from gridhfk.grids import format_grid, load_corpus, make_grid, mirror, count_components
 from gridhfk.gradings import GradingCalculator
 from gridhfk.homology import (
@@ -51,9 +53,10 @@ print(format_grid(unknot))
 
 print("A generator is a permutation: one dot on each grid line crossing.")
 calc = GradingCalculator(unknot)
-for perm in ((0, 1), (1, 0)):
-    m2, a2 = calc.gradings(perm)
-    print(f"  generator {perm}: Maslov {m2 / 2:+.1f}, Alexander {a2 / 2:+.1f}"
+perms = np.array([(0, 1), (1, 0)])
+for perm, m2, a2 in zip(perms.tolist(), calc.maslov2_batch(perms),
+                        calc.alex2_batch(perms)):
+    print(f"  generator {tuple(perm)}: Maslov {m2 / 2:+.1f}, Alexander {a2 / 2:+.1f}"
           "  (stored doubled, so every grading is an integer)")
 
 print("\nThe boundary map counts empty rectangles; it squares to zero:")

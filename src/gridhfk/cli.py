@@ -107,36 +107,22 @@ class RunReport:
             "wall_time": self.wall_time,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RunReport":
-        return cls(command=list(data["command"]),
-                   inputs=data["inputs"],
-                   # optional: schema-1 reports older than the field lack it
-                   grid_sizes=data.get("grid_sizes", {}),
-                   results=data["results"],
-                   generator_counts={int(k): v
-                                     for k, v in
-                                     data["generator_counts"].items()},
-                   wall_time=data["wall_time"],
-                   schema=data["schema"])
-
 
 def _digest(path: Path) -> dict:
     return {"path": str(path),
             "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-def _resolve_input(path_str: str) -> Path:
-    """Accept literal paths, corpus:<name> references, and bare corpus
-    names; everything else raises FileNotFoundError."""
+def _resolve_input(path_str: str, corpus_file=corpus_path) -> Path:
+    """Accept literal paths, corpus:<name> references, and bare names
+    (no directory part) found in the corpus; ``corpus_file`` maps a name
+    to its corpus path.  Everything else raises FileNotFoundError."""
     if path_str.startswith("corpus:"):
-        path = Path(corpus_path(path_str.split(":", 1)[1]))
+        path = Path(corpus_file(path_str.split(":", 1)[1]))
     else:
         path = Path(path_str)
-        if not path.exists():
-            fallback = Path(corpus_path(path.name))
-            if fallback.exists():
-                return fallback
+        if not path.exists() and path.name == path_str:
+            path = Path(corpus_file(path_str))
     if not path.exists():
         raise FileNotFoundError(f"FileNotFound: {path_str}")
     return path
@@ -220,6 +206,8 @@ def _working_side(side: CaseSide, label: str, sizes: dict) -> CaseSide:
 def cmd_murasugi(args, out) -> tuple[int, RunReport]:
     start = time.perf_counter()
     sizes = {}
+    if args.connect and args.case:
+        raise GridInputError("murasugi takes a case file or --connect, not both")
     if args.connect:
         path_a = _resolve_input(args.connect[0])
         path_b = _resolve_input(args.connect[1])
@@ -241,7 +229,7 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
     else:
         if not args.case:
             raise GridInputError("murasugi needs a case file or --connect")
-        path = _resolve_case_input(args.case)
+        path = _resolve_input(args.case, corpus_case_path)
         case, expect = load_case(path)
         case = dataclasses.replace(
             case, summand1=_working_side(case.summand1, "summand1", sizes),
@@ -268,18 +256,6 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
                   f"({rep.wall_time:.2f}s)", file=out)
     code = 0 if (r1.passed and r2.passed) else 1
     return code, report
-
-
-def _resolve_case_input(path_str: str) -> Path:
-    if path_str.startswith("corpus:"):
-        return Path(corpus_case_path(path_str.split(":", 1)[1]))
-    path = Path(path_str)
-    if not path.exists():
-        fallback = Path(corpus_case_path(path.name))
-        if fallback.exists():
-            return fallback
-        raise FileNotFoundError(f"FileNotFound: {path_str}")
-    return path
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,7 @@ class NegativeIndex(GridInputError):
 
 
 class UnsupportedQ(GridInputError):
-    """Cable parameter q = 0 or p < 2 is outside the supported range."""
+    """Cable parameter q = 0 does not define a cable knot."""
 
 
 class GridResourceError(GridHfkError):

@@ -22,9 +22,12 @@ the count of increasing pairs; the enumeration module builds its
 completion tables from these terms and caches them on the calculator.
 
 The calculator is the one per-grid object below the entry points of
-``homology`` and ``invariants``: it holds the gradings, the component
-count, the completion tables and the grid's RectangleCounter, and every
-function beneath those entry points takes it in place of the grid.
+``homology`` and ``invariants``: it holds the grading tables, the
+component count, the completion tables and the grid's RectangleCounter,
+and every function beneath those entry points takes it in place of the
+grid.  Gradings are read only in batches, over (m, n) arrays of
+generators; ``tests/oracle.py`` recomputes both formulas by direct pair
+counting.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ def _marking_self_pairs(cols):
 
 
 class GradingCalculator:
-    """Precomputed tables of one grid: its gradings, completion tables
-    and rectangle counts."""
+    """Precomputed tables of one grid: the batch graders' per-point
+    tables, the enumeration's completion tables and the rectangle
+    counter."""
 
     def __init__(self, grid):
-        self.grid = grid
         n = grid.n
         self.n = n
         self.components = count_components(grid)
@@ -95,22 +98,6 @@ class GradingCalculator:
         # Completion tables of the enumeration, built on first use.
         self.completion_tables = {}
         self.rectangles = RectangleCounter(grid)
-
-    def alex2(self, perm):
-        return int(sum(self.fa[c, r] for c, r in enumerate(perm))) + self.alex_const
-
-    def maslov2(self, perm):
-        n = self.n
-        ixx = 0
-        for c1 in range(n):
-            for c2 in range(c1 + 1, n):
-                if perm[c1] < perm[c2]:
-                    ixx += 1
-        fm = sum(self.fm[c, r] for c, r in enumerate(perm))
-        return 2 * ixx + int(fm) + self.maslov_const
-
-    def gradings(self, perm):
-        return self.maslov2(perm), self.alex2(perm)
 
     def alex2_batch(self, perms):
         """alex2 for an (m, n) array of permutations (any integer dtype)."""

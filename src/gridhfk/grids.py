@@ -47,13 +47,6 @@ class GridDiagram:
     def __post_init__(self):
         _validate(self.n, self.x_cols, self.o_cols)
 
-    @property
-    def components(self):
-        return count_components(self)
-
-    def mirror(self):
-        return mirror(self)
-
 
 def _validate(n, x_cols, o_cols):
     if n < 2:

@@ -214,14 +214,6 @@ class BigradedRanks:
     def alex_levels(self):
         return sorted({a2 for _, a2 in self.ranks})
 
-    def shifted(self, maslov2_shift, alex2_shift):
-        return BigradedRanks(
-            {(m2 + maslov2_shift, a2 + alex2_shift): v for (m2, a2), v in self.ranks.items()}
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, BigradedRanks) and self.ranks == other.ranks
-
 
 def inflate(hat, k_minus_l):
     """Tensor with (F2 + F2[-1,-1]) repeatedly: the tilde from the hat."""

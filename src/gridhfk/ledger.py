@@ -4,7 +4,8 @@ Links form a monoid under Murasugi sum, and the top extremal group is
 multiplicative under it, so the map sending a link to the Poincare
 polynomial of its top group (taken up to powers of t) lands in the
 positive rational functions and turns sums into products.  This module
-implements that arithmetic plus three certification queries:
+implements that arithmetic (the ``ledger p`` image) and the three
+certification queries behind ``ledger indep``, ``cor6`` and ``b1check``:
 
   * pairwise-coprime polynomials certify linear independence;
   * support in two or more Maslov gradings obstructs a link from being a
@@ -28,10 +29,6 @@ from .generators import DEFAULT_MAX_GENERATORS
 from .polynomials import LaurentPoly, divide_exact, gcd_z
 
 SOURCES = ("computed", "literature")
-
-
-def _unit_normalized(p: LaurentPoly) -> LaurentPoly:
-    return p.cleared()
 
 
 @dataclass(frozen=True)
@@ -63,14 +60,14 @@ class PoincareFraction:
     @classmethod
     def from_parts(cls, num: LaurentPoly, den: LaurentPoly):
         """Build the reduced, unit-normalized fraction num/den."""
-        num = _unit_normalized(num)
-        den = _unit_normalized(den)
+        num = num.cleared()
+        den = den.cleared()
         g = gcd_z(num, den)
         if g != LaurentPoly.one():
             num_r = divide_exact(num, g)
             den_r = divide_exact(den, g)
             if num_r is not None and den_r is not None:
-                num, den = _unit_normalized(num_r), _unit_normalized(den_r)
+                num, den = num_r.cleared(), den_r.cleared()
         if num.coeffs[num.max_exp()] < 0:
             num = -num
         if den.coeffs[den.max_exp()] < 0:
@@ -175,7 +172,7 @@ def independent_by_coprimality(entries) -> bool:
     entries = list(entries)
     if len(entries) < 2:
         raise GridInputError("independence needs at least two entries")
-    cleared = [_unit_normalized(e.top_poincare) for e in entries]
+    cleared = [e.top_poincare.cleared() for e in entries]
     for i in range(len(cleared)):
         for j in range(i + 1, len(cleared)):
             if cleared[i] == cleared[j]:
@@ -190,38 +187,6 @@ def cor6_obstruction(entry: LedgerEntry) -> bool:
     obstructs the link from being a Murasugi sum of thin links or a
     summand of one."""
     return len(entry.top_poincare.coeffs) >= 2
-
-
-def is_monomial(p: LaurentPoly) -> bool:
-    """Rank-one (single-grading) test; fibered links satisfy it."""
-    return len(p.coeffs) == 1 and set(p.coeffs.values()) == {1}
-
-
-def irreducible_over_z(p: LaurentPoly):
-    """Decide irreducibility over the integers for cleared polynomials of
-    degree <= 2; returns None ("undetermined") beyond that."""
-    q = _unit_normalized(p)
-    deg = q.max_exp()
-    if deg == 0:
-        return False  # units and constants are not irreducible
-    if q.content() != 1:
-        return False
-    if deg == 1:
-        return True
-    if deg == 2:
-        c0 = q.coeffs.get(0, 0)
-        c1 = q.coeffs.get(1, 0)
-        c2 = q.coeffs.get(2, 0)
-        if c0 == 0:
-            return False  # divisible by t after clearing means c0 != 0; safety
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0:
-            return True
-        root = int(disc ** 0.5)
-        while root * root < disc:
-            root += 1
-        return root * root != disc
-    return None
 
 
 def b1_sum_check(e1: LedgerEntry, e2: LedgerEntry, e_sum: LedgerEntry) -> bool:

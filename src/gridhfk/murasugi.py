@@ -243,10 +243,16 @@ def _resolve_grid(ref: str, base: Path) -> GridDiagram:
     return load_grid(base / ref)
 
 
-def _int_field(obj: dict, key: str, label: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise GridInputError(f"{label}: '{key}' must be an integer, "
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean",
+          dict: "a JSON object"}
+
+
+def _field(obj: dict, key: str, kind: type, label: str, default=None):
+    """obj[key] (or ``default``), which must be of ``kind``; bool is not
+    taken for int."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise GridInputError(f"{label}: '{key}' must be {_KINDS[kind]}, "
                              f"got {value!r}")
     return value
 
@@ -264,8 +270,8 @@ def _load_side(obj: dict, base: Path, label: str) -> CaseSide | None:
     else:
         raise GridInputError(f"{label}: need a 'grid' reference or "
                              f"'construct': 'connected_sum'")
-    return CaseSide(grid, _int_field(obj, "index2", label),
-                    obj.get("name", label))
+    return CaseSide(grid, _field(obj, "index2", int, label),
+                    _field(obj, "name", str, label, label))
 
 
 def load_case(path) -> tuple[MurasugiCase, dict]:
@@ -274,7 +280,8 @@ def load_case(path) -> tuple[MurasugiCase, dict]:
     Schema: {"name": str, "polygon_sides": even int,
              "summand1"/"summand2"/"sum": {"grid": "corpus:x.grid" | path,
                                            "index2": int, "name": str},
-             "expect": {"theorem1": bool, "theorem2": bool}}  (optional)
+             "expect": {"theorem1": bool, "theorem2": bool}
+                       or {"error": exception class name}}  (optional)
     The sum of a two-sided case may use {"construct": "connected_sum",
     "index2": int} instead of a grid reference.  A file that does not
     fit the schema raises GridInputError.
@@ -290,16 +297,21 @@ def load_case(path) -> tuple[MurasugiCase, dict]:
     if s1 is None or s2 is None:
         raise GridInputError("summands must reference explicit grids")
     total = _load_side(data.get("sum"), base, "sum")
-    sides = _int_field(data, "polygon_sides", path.name)
+    sides = _field(data, "polygon_sides", int, path.name)
     if total is None:
         if sides != 2:
             raise GridInputError("connected-sum construction needs "
                                  "polygon_sides = 2")
         grid = connected_sum(s1.grid, s2.grid)
-        total = CaseSide(grid, _int_field(data["sum"], "index2", "sum"),
-                         data["sum"].get("name", "sum"))
-    case = MurasugiCase(data.get("name", path.stem), sides, s1, s2, total)
-    return case, data.get("expect", {})
+        total = CaseSide(grid, _field(data["sum"], "index2", int, "sum"),
+                         _field(data["sum"], "name", str, "sum", "sum"))
+    case = MurasugiCase(_field(data, "name", str, path.name, path.stem),
+                        sides, s1, s2, total)
+    expect = _field(data, "expect", dict, path.name, {})
+    for key in expect:  # booleans, or the class name of an expected error
+        _field(expect, key, str if key == "error" else bool,
+               f"{path.name}: 'expect'")
+    return case, expect
 
 
 def make_connected_sum_case(name: str, side1: CaseSide,

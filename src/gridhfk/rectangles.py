@@ -20,7 +20,8 @@ columns strictly inside it lie inside exactly when their rel is below
 that height, so the rectangle misses them exactly when rel[w] is below
 min(rel[1 .. w - 1]): one ``np.minimum.accumulate`` along t finds every
 point-free rectangle of a source.  Marking counts inside those come
-from prefix sums over a doubled board, read by flat fancy indexing.
+from prefix sums over a doubled board, read by flat fancy indexing; the
+grid's RectangleCounter holds one such flat table per boundary mode.
 
 ``boundary_entries`` runs over all (source, ci, width) triples at once,
 in passes of at most ``_CHUNK`` triples, so memory stays flat whatever
@@ -55,25 +56,19 @@ def _doubled_prefix(cols, n):
 
 
 class RectangleCounter:
-    """Per-grid tables answering marking counts in cyclic rectangles."""
+    """Per-grid flat tables of the markings a counted rectangle must miss.
+
+    ``marks[mode]`` is the doubled prefix table of those markings for one
+    boundary mode, raveled so that entry c * (2n + 1) + r counts them in
+    [0, c) x [0, r): the O markings for MODE_FILTERED, the O and X
+    markings for MODE_LEVEL.
+    """
 
     def __init__(self, grid):
-        self.grid = grid
         self.n = grid.n
-        self._px = _doubled_prefix(grid.x_cols, grid.n)
-        self._po = _doubled_prefix(grid.o_cols, grid.n)
-
-    def _count(self, pp, c0, width, r0, height):
-        # r0 may be a vector; c0, width are scalars, height a vector.
-        c1 = c0 + width
-        r1 = r0 + height
-        return pp[c1, r1] - pp[c0, r1] - pp[c1, r0] + pp[c0, r0]
-
-    def x_inside(self, c0, width, r0, height):
-        return self._count(self._px, c0, width, r0, height)
-
-    def o_inside(self, c0, width, r0, height):
-        return self._count(self._po, c0, width, r0, height)
+        po = _doubled_prefix(grid.o_cols, grid.n)
+        px = _doubled_prefix(grid.x_cols, grid.n)
+        self.marks = {MODE_FILTERED: po.ravel(), MODE_LEVEL: (po + px).ravel()}
 
 
 def boundary_entries(counter, sources, targets, mode):
@@ -101,8 +96,7 @@ def boundary_entries(counter, sources, targets, mode):
     span = len(targets)
     # Markings that may not lie inside a counted rectangle, as a flat
     # doubled prefix table indexed by column * stride + row.
-    marks = counter._po if mode == MODE_FILTERED else counter._po + counter._px
-    marks = marks.ravel()
+    marks = counter.marks[mode]
     stride = 2 * n + 1
     # ahead[ci, t - 1] is the column t steps to the right of ci.
     ahead = (np.arange(n)[:, None] + np.arange(1, n)) % n
@@ -131,26 +125,3 @@ def boundary_entries(counter, sources, targets, mode):
     pairs, counts = np.unique(np.concatenate(pairs), return_counts=True)
     pairs = pairs[counts % 2 == 1]
     return pairs % span, pairs // span
-
-
-def rectangle_census(counter, perm, ci, cj):
-    """Marking and interior data of the single rectangle r(p, q).
-
-    Diagnostic helper used by the grading-relation tests: returns the
-    counts of X markings, O markings and interior generator points.
-    """
-    n = counter.n
-    arr = np.asarray(perm, dtype=np.int64)[None, :]
-    a = int(arr[0, ci])
-    b = int(arr[0, cj])
-    width = (cj - ci) % n
-    height = (b - a) % n
-    x_in = int(counter.x_inside(ci, width, np.array([a]), np.array([height]))[0])
-    o_in = int(counter.o_inside(ci, width, np.array([a]), np.array([height]))[0])
-    interior = 0
-    for t in range(1, width):
-        c = (ci + t) % n
-        rel = (int(arr[0, c]) - a) % n
-        if 0 < rel < height:
-            interior += 1
-    return {"n_x": x_in, "n_o": o_in, "interior_points": interior}

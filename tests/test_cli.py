@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from gridhfk.cli import DEFAULT_LEDGER, RunReport, run
+from gridhfk.cli import DEFAULT_LEDGER, run
 from gridhfk.grids import corpus_path, load_corpus
 
 from oracle import (
@@ -75,6 +75,20 @@ def test_compute_missing_file_is_exit_2():
     assert "FileNotFound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "{missing}/trefoil5", "--hat"],
+    ["murasugi", "{missing}/trefoil_connected_sum.json"],
+    ["murasugi", "--connect", "{missing}/trefoil5", "corpus:trefoil5"],
+    ["cable", "{missing}/unknot3", "--p", "2", "--q", "3"],
+], ids=["compute", "murasugi", "connect", "cable"])
+def test_missing_path_never_falls_back_to_the_corpus(tmp_path, argv):
+    # Only a bare name, with no directory part, is looked up in the corpus.
+    missing = tmp_path / "nowhere"
+    code, out, err = invoke(*(a.format(missing=missing) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith("FileNotFound") and err.count("\n") == 1
+
+
 def test_compute_malformed_grid_is_exit_2(tmp_path):
     bad = tmp_path / "bad.grid"
     bad.write_text("3\nX: 0 1 2\nO: 0 1 2\n")  # X and O collide everywhere
@@ -105,23 +119,9 @@ def test_compute_json_report_round_trips(tmp_path):
     want = hashlib.sha256(
         open(corpus_path("trefoil5"), "rb").read()).hexdigest()
     assert data["inputs"]["grid"]["sha256"] == want
-    # the dataclass reconstructs the identical report
-    report = RunReport.from_json(data)
-    assert report.to_json() == data
-    assert report.generator_counts == {
-        -10: 1, -8: 5, -6: 31, -4: 46, -2: 31, 0: 5, 2: 1}
-    assert sum(report.generator_counts.values()) == 120  # all of S_5
-
-
-def test_report_without_grid_sizes_still_loads():
-    # schema-1 reports written before grid_sizes existed lack the field
-    code, out, _ = invoke("--json", "compute", "corpus:trefoil5", "--hat")
-    assert code == 0
-    data = json.loads(out)
-    del data["grid_sizes"]
-    report = RunReport.from_json(data)
-    assert report.grid_sizes == {}
-    assert report.results == data["results"]
+    assert data["generator_counts"] == {
+        "-10": 1, "-8": 5, "-6": 31, "-4": 46, "-2": 31, "0": 5, "2": 1}
+    assert sum(data["generator_counts"].values()) == 120  # all of S_5
 
 
 def test_compute_reports_the_tilde_table_of_the_grid_as_given():
@@ -135,7 +135,6 @@ def test_compute_reports_the_tilde_table_of_the_grid_as_given():
     want = oracle_tilde_ranks(g.x_cols, g.o_cols)
     assert {(m2, a2): r for m2, a2, r in data["results"]["ranks"]} == want
     assert sum(data["generator_counts"].values()) == 120  # the 5-grid
-    assert RunReport.from_json(data).to_json() == data
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +250,36 @@ def test_murasugi_null_index2_case_is_exit_2(tmp_path):
     code, _, err = invoke("murasugi", str(bad))
     assert code == 2
     assert "GridInputError" in err and "index2" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("expect", [1]),
+    ("expect", {"theorem1": 1}),
+    ("name", ["x"]),
+], ids=["expect-list", "expect-int", "name-list"])
+def test_murasugi_case_field_of_the_wrong_type_is_exit_2(tmp_path, key, value):
+    bad = tmp_path / "wrong_type.json"
+    case = {
+        "name": "x", "polygon_sides": 2,
+        "summand1": {"grid": "corpus:unknot2.grid", "index2": 0},
+        "summand2": {"grid": "corpus:unknot2.grid", "index2": 0},
+        "sum": {"construct": "connected_sum", "index2": 0},
+        "expect": {"theorem1": True, "theorem2": True},
+    }
+    case[key] = value
+    bad.write_text(json.dumps(case))
+    code, out, err = invoke("--json", "murasugi", str(bad))
+    assert code == 2 and not out
+    assert "GridInputError" in err and f"'{key}'" in err
+    assert err.count("\n") == 1
+
+
+def test_murasugi_case_with_connect_is_exit_2():
+    # The case alone exits 1; a case must not be dropped for --connect.
+    code, out, err = invoke("murasugi", "corpus:corrupt_wrong_sum", "--connect",
+                            "corpus:trefoil5", "corpus:unknot3")
+    assert code == 2 and not out
+    assert "GridInputError" in err and "not both" in err
 
 
 def test_memory_error_is_exit_3(monkeypatch):
@@ -443,19 +472,6 @@ def test_cable_json_report():
     assert results["predicted_alex2"] == 8
     assert results["companion_genus2"] == 2
     assert "right-handed" in results["convention"]
-
-
-# --------------------------------------------------------------------------
-# report dataclass
-
-
-def test_run_report_dataclass_round_trip():
-    report = RunReport(command=["compute", "x.grid"],
-                       inputs={"grid": {"path": "x.grid", "sha256": "00"}},
-                       results={"total_rank": 3},
-                       generator_counts={-2: 5, 0: 7},
-                       wall_time=0.25)
-    assert RunReport.from_json(report.to_json()) == report
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from gridhfk.rectangles import (
     MODE_LEVEL,
     RectangleCounter,
     boundary_entries,
-    rectangle_census,
 )
 
 from oracle import (
@@ -71,7 +70,7 @@ def test_levels_partition_all_permutations():
             for p in gens:
                 key = tuple(int(v) for v in p)
                 assert key not in seen
-                assert calc.gradings(key)[1] == a2
+                assert oracle_alex2(g.x_cols, g.o_cols, key) == a2
                 seen.add(key)
         assert total == factorial(g.n)
 
@@ -109,7 +108,7 @@ def test_generators_up_to_matches_filter():
         cutoff = int(calc.level_floor()) + 4
         got = {tuple(int(v) for v in p) for p in generators_up_to(calc, cutoff)}
         want = {p for p in permutations(range(5))
-                if calc.gradings(p)[1] <= cutoff}
+                if oracle_alex2(g.x_cols, g.o_cols, p) <= cutoff}
         assert got == want
 
 
@@ -183,23 +182,6 @@ def test_resource_guard_trips():
 # rectangle counts
 
 
-def test_rectangle_census_matches_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        g = random_grid(rng, int(rng.integers(3, 8)))
-        counter = RectangleCounter(g)
-        perm = [int(v) for v in rng.permutation(g.n)]
-        ci, cj = sorted(rng.choice(g.n, size=2, replace=False).tolist())
-        target = list(perm)
-        target[ci], target[cj] = target[cj], target[ci]
-        records = oracle_rectangles(g.x_cols, g.o_cols, tuple(perm),
-                                    tuple(target))
-        # one census call per rectangle: (ci, cj) spans the short way
-        # round the torus, (cj, ci) the complementary way
-        assert rectangle_census(counter, perm, ci, cj) == records[0]
-        assert rectangle_census(counter, perm, cj, ci) == records[1]
-
-
 def test_boundary_matches_oracle_on_random_levels():
     rng = np.random.default_rng(24)
     for _ in range(25):
@@ -266,7 +248,6 @@ def test_grading_relations_on_rectangle_connected_pairs():
     preserves alex2."""
     rng = np.random.default_rng(27)
     g = random_grid(rng, 6)
-    counter = RectangleCounter(g)
     calc = GradingCalculator(g)
     checked = 0
     while checked < 1000:
@@ -274,10 +255,13 @@ def test_grading_relations_on_rectangle_connected_pairs():
         ci, cj = sorted(rng.choice(6, size=2, replace=False).tolist())
         target = list(perm)
         target[ci], target[cj] = target[cj], target[ci]
-        m_s, a_s = calc.gradings(perm)
-        m_t, a_t = calc.gradings(target)
-        for c0, c1 in ((ci, cj), (cj, ci)):
-            rec = rectangle_census(counter, perm, c0, c1)
+        pair = np.array([perm, target])
+        (m_s, m_t), (a_s, a_t) = calc.maslov2_batch(pair), calc.alex2_batch(pair)
+        # the two rectangles from perm to target: the one spanning columns
+        # [ci, cj), then the one spanning the complementary way round
+        records = oracle_rectangles(g.x_cols, g.o_cols, perm, target)
+        assert len(records) == 2
+        for rec in records:
             assert m_s - m_t == 2 - 4 * rec["n_o"] + 4 * rec["interior_points"]
             assert a_s - a_t == 2 * (rec["n_x"] - rec["n_o"])
             if not rec["n_x"] and not rec["n_o"] and not rec["interior_points"]:
@@ -318,7 +302,7 @@ def test_euler_characteristic_symmetry_for_knots():
 # uint8 generator arrays
 
 
-def test_batch_gradings_on_uint8_blocks_match_scalar():
+def test_batch_gradings_on_uint8_blocks_match_oracle():
     rng = np.random.default_rng(29)
     for _ in range(20):
         g = random_grid(rng, int(rng.integers(2, 8)))
@@ -330,7 +314,8 @@ def test_batch_gradings_on_uint8_blocks_match_scalar():
             m2 = calc.maslov2_batch(rows)
             a2 = calc.alex2_batch(rows)
             for i, p in enumerate(rows.tolist()):
-                assert (m2[i], a2[i]) == calc.gradings(p)
+                assert m2[i] == oracle_maslov2(g.x_cols, g.o_cols, p)
+                assert a2[i] == oracle_alex2(g.x_cols, g.o_cols, p)
 
 
 def test_boundary_entries_same_for_int64_and_cast_kept_rows():

@@ -1,8 +1,10 @@
-"""Every demo script runs to the end.
+"""Every demo script runs to the end, and the corpus tool rebuilds the
+shipped grids.
 
 Each ``demos/*.py`` runs in its own interpreter with the package
 sources on ``PYTHONPATH``; the demos assert their own claims, so exit 0
-means they all held.
+means they all held.  ``tools/make_corpus.py`` likewise checks the
+invariants that identify each grid's link before it writes the grid.
 """
 
 import os
@@ -16,9 +18,23 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(script, cwd, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(script), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _run(demo, tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_make_corpus_rebuilds_the_shipped_grids_byte_for_byte(tmp_path):
+    # Written to tmp_path, never over the shipped corpus.
+    done = _run(ROOT / "tools" / "make_corpus.py", tmp_path, str(tmp_path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    shipped = {p.name: p.read_bytes()
+               for p in (ROOT / "src" / "gridhfk" / "corpus").glob("*.grid")}
+    assert len(shipped) == 12
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == shipped

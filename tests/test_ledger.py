@@ -19,8 +19,6 @@ from gridhfk.ledger import (
     cor6_obstruction,
     entry_from_grid,
     independent_by_coprimality,
-    irreducible_over_z,
-    is_monomial,
     load_ledger,
     p_image,
     save_ledger,
@@ -254,31 +252,6 @@ def test_cor6_obstruction(seeds):
     assert cor6_obstruction(seeds["conway"])
     for name in ("unknot", "trefoil", "hopf_plus", "figure_eight", "5_2"):
         assert not cor6_obstruction(seeds[name]), name
-
-
-def test_is_monomial():
-    assert is_monomial(LaurentPoly({3: 1}))
-    assert is_monomial(LaurentPoly({0: 1}))
-    assert not is_monomial(LaurentPoly({0: 2}))       # rank two
-    assert not is_monomial(LaurentPoly({0: 1, 1: 1}))
-    assert not is_monomial(LaurentPoly.zero())
-
-
-def test_irreducible_over_z():
-    t = LaurentPoly.monomial(1)
-    one = LaurentPoly.one()
-    assert irreducible_over_z(one + t) is True
-    assert irreducible_over_z(one) is False            # a unit
-    assert irreducible_over_z(LaurentPoly({0: 2})) is False
-    assert irreducible_over_z(LaurentPoly({0: 2, 1: 2})) is False  # content 2
-    assert irreducible_over_z(LaurentPoly({0: 1, 1: 1, 2: 1})) is True
-    assert irreducible_over_z(LaurentPoly({0: 1, 1: 2, 2: 1})) is False
-    assert irreducible_over_z(LaurentPoly({0: 1, 1: 3, 2: 1})) is True
-    assert irreducible_over_z(LaurentPoly({0: 2, 1: 3, 2: 1})) is False
-    # degree three and beyond: undetermined
-    assert irreducible_over_z(LaurentPoly({0: 1, 3: 1})) is None
-    # unit normalization happens first
-    assert irreducible_over_z((one + t).shift(-7)) is True
 
 
 def test_b1_sum_check(seeds):

@@ -14,15 +14,15 @@ placing row r in column c adds fa[c][r] to alex2, and fm[c][r] / 2
 plus the rows of the mask below r (the new increasing pairs) to
 maslov2 / 2.  ``graded_generators`` reads an exact completion table of
 that sum, built once per grading and cached on the GradingCalculator:
-for every mask, the values the free rows can still add.  The table is
-filled from the full mask down, one bulk gather-OR per move (c, r) for
-alex2, and per move and count k of mask rows below r for maslov2.
-Which masks each of those touches does not depend on the grid, so
-``_move_groups`` lists them once per n (int32 masks sorted by k, with
-run bounds; an LRU cache holds the last few n) and every table of that
-size reuses them.  Partial permutations grow column by column in numpy,
-and a partial is kept only when some completion lands in a target, so
-no dead branch is entered and an empty level costs one table lookup.
+for every mask, the values the free rows can still add, as a bitset of
+little-endian uint64 words.  The table is filled from the full mask
+down, one column at a time: each mask ORs in its children's bitsets,
+each shifted left by the value its move adds.  Which moves each column
+holds does not depend on the grid, so ``_column_moves`` lists them once
+per n (an LRU cache holds the last few n).  Partial permutations grow
+column by column in numpy, and a partial is kept only when its mask's
+bitset meets the targets shifted down by its value, so no dead branch
+is entered and an empty level costs one table lookup.
 ``graded_levels`` reads the attained values off the same table.
 
 ``level_counts`` gives the size and the signed count (the Euler
@@ -69,13 +69,13 @@ def enumerate_all(grid, max_generators=DEFAULT_MAX_GENERATORS):
 def _completion_table(calc, grading):
     """The exact completion table of one grading, built once per calculator.
 
-    Returns (shift, base, inversions, reach_counts): placing row r in
+    Returns (shift, base, inversions, width, reach): placing row r in
     column c after the rows of ``mask`` adds shift[c][r], plus the rows
-    of the mask below r when ``inversions``, to a relative value j, and
-    a generator's grading is base + 2 j.  ``reach_counts[mask, j]`` is
-    the number of relative values below j that the rows outside the
-    mask can add by filling columns popcount(mask)..n-1, so a range of
-    completions is attainable when the counts at its ends differ.
+    of the mask below r when ``inversions``, to a relative value j in
+    [0, width), and a generator's grading is base + 2 j.  ``reach`` is a
+    uint64 (W, 2^n) array, W = ceil(width / 64), word-major so that
+    every gather is 1-D: bit j of column ``mask`` (word 0 the lowest)
+    is set when the free rows can add j in columns popcount(mask)..n-1.
     """
     tables = calc.completion_tables
     if grading not in tables:
@@ -85,30 +85,43 @@ def _completion_table(calc, grading):
 
 # One Murasugi check visits up to eight grid sizes in turn.
 @functools.lru_cache(maxsize=8)
-def _move_groups(n):
+def _column_moves(n):
     """The grid-free part of every completion table of size n.
 
-    Entry (c, r) is (masks, bounds): the int32 masks with c bits set and
-    bit r clear, sorted by how many of their bits lie below r, and
-    ``bounds[k]:bounds[k + 1]`` the run of those with k such bits.
-    These are the partials that placing row r in column c extends, and
-    that count is the number of increasing pairs the move adds.
+    Entry c is (layer, child, row, below): the int32 masks with c bits
+    set and, parent by parent, the moves that place a free row in
+    column c, as (len(layer), n - c) arrays of the int32 child mask,
+    the uint8 row and the uint8 count of parent rows below it (the
+    increasing pairs the move adds).
     """
     masks = np.arange(1 << n, dtype=np.int32)
-    groups = {}
-    for r in range(n):
-        src = masks[(masks >> r & 1) == 0]
-        below = np.bitwise_count(src & ((1 << r) - 1))
-        # Sort by (popcount, bits below r): one run per (c, k).  The
-        # key fits 16 bits, where the stable sort is a radix sort.
-        key = np.bitwise_count(src).astype(np.uint16) * (n + 1) + below
-        order = np.argsort(key, kind="stable")
-        src = src[order]
-        bounds = np.searchsorted(key[order], np.arange(n * (n + 1) + 1)).tolist()
-        for c in range(n):
-            runs = bounds[c * (n + 1):c * (n + 1) + c + 2]
-            groups[c, r] = (src[runs[0]:runs[-1]], [b - runs[0] for b in runs])
-    return groups
+    popcount = np.bitwise_count(masks)
+    rows = np.arange(n, dtype=np.int32)
+    moves = []
+    for c in range(n):
+        layer = masks[popcount == c]
+        row = np.nonzero((layer[:, None] >> rows & 1) == 0)[1].astype(np.int32)
+        row = row.reshape(len(layer), n - c)
+        bit = 1 << row
+        below = np.bitwise_count(layer[:, None] & (bit - 1))
+        moves.append((layer, layer[:, None] | bit, row.astype(np.uint8), below))
+    return moves
+
+
+def _shift_left(words, bits):
+    """Bitsets ``words`` (W, ...), word 0 the lowest, shifted left by
+    ``bits`` (..., uint64, each 0..63); bits past word W - 1 are lost."""
+    out = words << bits
+    if len(words) > 1:
+        # (x >> 1) >> (63 - b) is x >> (64 - b), and 0 when b = 0.
+        out[1:] |= (words[:-1] >> np.uint64(1)) >> (np.uint64(63) - bits)
+    return out
+
+
+def _set_bits(words):
+    """The set bits of one (W,) uint64 bitset, word 0 the lowest."""
+    bits = words[:, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)
+    return np.flatnonzero(bits.ravel()).tolist()
 
 
 def _build_completion_table(calc, grading):
@@ -131,31 +144,24 @@ def _build_completion_table(calc, grading):
     width = int(shift.max(axis=1).sum()) + 1
     if inversions:
         width += n * (n - 1) // 2
-    groups = _move_groups(n)
-    reach = np.zeros((1 << n, width), dtype=bool)
-    reach[-1, 0] = True
+    # A move adds at most n, plus n - 1 pairs: under 64 for any n whose
+    # 2^n masks fit in memory.
+    reach = np.zeros((-(-width // 64), 1 << n), dtype=np.uint64)
+    reach[0, -1] = 1
+    moves = _column_moves(n)
     for c in range(n - 1, -1, -1):
-        for r in range(n):
-            src, bounds = groups[c, r]
-            s = int(shift[c][r])
-            child = reach[src | 1 << r]
-            if not inversions:
-                reach[src, s:] |= child[:, :width - s]
-                continue
-            # The run of masks with k rows below r adds k more.
-            for k in range(c + 1):
-                lo, hi = bounds[k], bounds[k + 1]
-                if hi > lo:
-                    reach[src[lo:hi], s + k:] |= child[lo:hi, :width - s - k]
-    counts = np.zeros((1 << n, width + 1), dtype=np.min_scalar_type(width))
-    np.cumsum(reach, axis=1, out=counts[:, 1:])
-    return shift, base, inversions, counts
+        layer, child, row, below = moves[c]
+        bits = shift[c].astype(np.uint64)[row]
+        if inversions:
+            bits += below
+        reach[:, layer] = np.bitwise_or.reduce(_shift_left(reach[:, child], bits), axis=2)
+    return shift, base, inversions, width, reach
 
 
 def graded_levels(calc, grading):
     """Every attained value of the grading ("alex" or "maslov"), increasing."""
-    _, base, _, counts = _completion_table(calc, grading)
-    return [base + 2 * j for j in np.flatnonzero(np.diff(counts[0])).tolist()]
+    _, base, _, _, reach = _completion_table(calc, grading)
+    return [base + 2 * j for j in _set_bits(reach[:, 0])]
 
 
 def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERATORS):
@@ -172,25 +178,18 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
     ``max_generators``, before the result is allocated.
     """
     n = calc.n
-    shift, base, inversions, counts = _completion_table(calc, grading)
-    width = counts.shape[1] - 1
+    shift, base, inversions, width, reach = _completion_table(calc, grading)
     rel = sorted({(t - base) // 2 for t in targets
                   if (t - base) % 2 == 0 and 0 <= t - base < 2 * width})
     if not rel:
         return np.empty((0, n), dtype=np.int64)
-    # Runs of consecutive relative targets, as half-open [start, stop).
-    breaks = [i for i in range(1, len(rel)) if rel[i] != rel[i - 1] + 1]
-    starts = [rel[i] for i in [0, *breaks]]
-    stops = [rel[i - 1] + 1 for i in [*breaks, len(rel)]]
-
-    def reachable(masks, acc):
-        hit = np.zeros(len(masks), dtype=bool)
-        # acc >= 0 and every stop <= width, so only the floor can bind.
-        for start, stop in zip(starts, stops):
-            lo = np.maximum(start - acc, 0)
-            hi = np.maximum(stop - acc, 0)
-            hit |= counts[masks, hi] > counts[masks, lo]
-        return hit
+    # Column a of ``ahead`` packs hits[a:a + span], a window of one
+    # strided view: the targets shifted down by a, in the table's layout.
+    span = 64 * len(reach)
+    hits = np.zeros(width + span, dtype=bool)
+    hits[rel] = True
+    window = np.ndarray((width, span), dtype=bool, buffer=hits, strides=(1, 1))
+    ahead = np.packbits(window, axis=1, bitorder="little").view("<u8").T.copy()
 
     masks = np.zeros(1, dtype=np.int64)
     acc = np.zeros(1, dtype=np.int64)
@@ -206,7 +205,9 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
         value = acc[parent] + shift[c][row]
         if inversions:
             value += np.bitwise_count(used & ((1 << row) - 1))
-        alive = reachable(child, value)
+        alive = np.zeros(len(child), dtype=bool)
+        for words, shifted in zip(reach, ahead):
+            alive |= (words[child] & shifted[value]) != 0
         masks, acc = child[alive], value[alive]
         if len(masks) > max_generators:
             raise GridResourceError(

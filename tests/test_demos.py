@@ -1,5 +1,6 @@
-"""Every demo script runs to the end, and the corpus tool rebuilds the
-shipped grids.
+"""Every demo script runs to the end, the corpus tool rebuilds the
+shipped grids, and the answer comparison finds no difference between
+this tree and itself.
 
 Each ``demos/*.py`` runs in its own interpreter with the package
 sources on ``PYTHONPATH``; the demos assert their own claims, so exit 0
@@ -7,6 +8,7 @@ means they all held.  ``tools/make_corpus.py`` likewise checks the
 invariants that identify each grid's link before it writes the grid.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +40,23 @@ def test_make_corpus_rebuilds_the_shipped_grids_byte_for_byte(tmp_path):
                for p in (ROOT / "src" / "gridhfk" / "corpus").glob("*.grid")}
     assert len(shipped) == 12
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == shipped
+
+
+def test_compare_answers_finds_no_difference_against_its_own_tree(tmp_path):
+    done = _run(ROOT / "tools" / "compare_answers.py", tmp_path, str(ROOT))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith(" commands, 0 differences\n")
+
+
+def test_compare_answers_names_the_first_difference():
+    spec = importlib.util.spec_from_file_location(
+        "compare_answers", ROOT / "tools" / "compare_answers.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    answer = {"argv": ["compute", "trefoil5"], "code": 0, "stderr": "",
+              "results": {"ranks": [[0, 2, 1]]}, "generator_counts": {"2": 5},
+              "grid_sizes": {"grid": [5, 5]}}
+    assert tool.first_difference([answer], [dict(answer)]) is None
+    changed = dict(answer, generator_counts={"2": 6})
+    assert tool.first_difference([answer, answer], [answer, changed]).startswith(
+        "compute trefoil5: generator_counts differs")

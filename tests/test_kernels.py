@@ -4,7 +4,8 @@ GF(2) ranks, kernels and prefix images at widths of 60-300 bits are
 checked against the plain-int eliminations of the oracle; boundary
 entries, split into passes of one, two and three sources or not, and
 into a restricted target basis, against the rectangle oracle; every
-mask of the completion tables against a brute-force completion; and
+mask of the completion tables against a brute-force completion, and
+the multi-word tables of grids of size 8-10 against all n! states; and
 ``verify_d2`` against a boundary with one entry flipped.
 """
 
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 from gridhfk import generators, rectangles
-from gridhfk.errors import InconsistentComplex
+from gridhfk.errors import GridResourceError, InconsistentComplex
 from gridhfk.gf2 import image_in_prefix, kernel_basis, matrix_rank
 from gridhfk.gradings import GradingCalculator
-from gridhfk.grids import load_corpus
+from gridhfk.grids import load_corpus, make_grid
 from gridhfk.homology import build_level_complex, verify_d2
 from gridhfk.rectangles import (
     MODE_FILTERED,
@@ -192,21 +193,76 @@ def _reachable_by_brute_force(g, grading, mask, shift, base):
 def test_completion_tables_match_brute_force_on_every_mask():
     """For n <= 6, both gradings and every used-row mask, the relative
     values the table marks reachable are those of the mask's completions.
-    Two grids of each size share the move groups cached for that size."""
+    Two grids of each size share the column moves cached for that size."""
     rng = np.random.default_rng(46)
     for n in range(2, 7):
-        generators._move_groups.cache_clear()
+        generators._column_moves.cache_clear()
         for _ in range(2):
             g = random_grid(rng, n)
             calc = GradingCalculator(g)
             for grading in ("alex", "maslov"):
-                shift, base, _, counts = generators._completion_table(calc, grading)
+                shift, base, _, _, reach = generators._completion_table(calc, grading)
                 for mask in range(1 << n):
-                    got = set(np.flatnonzero(np.diff(counts[mask])).tolist())
+                    got = set(generators._set_bits(reach[:, mask]))
                     want = _reachable_by_brute_force(g, grading, mask, shift, base)
                     assert got == want, (n, grading, mask)
-        info = generators._move_groups.cache_info()
+        info = generators._column_moves.cache_info()
         assert info.misses == 1 and info.hits == 3
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 4, 5])
+def test_shift_left_matches_python_int_shifts(words):
+    rng = np.random.default_rng(47)
+    x = rng.integers(0, 1 << 64, size=(40, words), dtype=np.uint64)
+    bits = np.concatenate([[0, 63, 1, 62], rng.integers(0, 64, size=36)]).astype(np.uint64)
+    got = generators._shift_left(x.T.copy(), bits).T
+    top = (1 << 64 * words) - 1
+    for row, b, out in zip(x.tolist(), bits.tolist(), got.tolist()):
+        value = sum(w << 64 * i for i, w in enumerate(row))
+        assert sum(w << 64 * i for i, w in enumerate(out)) == value << b & top
+
+
+def _check_maslov_table_against_all_states(calc, slices, pair):
+    """The attained maslov2 values, and the generators of each of
+    ``slices`` and of the slice set ``pair``, are those of the n! states,
+    in lexicographic order; a budget one short of the pair raises."""
+    perms = generators.enumerate_all(calc)
+    m2 = calc.maslov2_batch(perms)
+    assert generators.graded_levels(calc, "maslov") == np.unique(m2).tolist()
+    for targets in [[level] for level in slices] + [pair]:
+        got = generators.graded_generators(calc, "maslov", targets)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, perms[np.isin(m2, targets)])
+    with pytest.raises(GridResourceError):
+        generators.graded_generators(calc, "maslov", pair,
+                                     int(np.isin(m2, pair).sum()) - 1)
+
+
+def test_two_word_maslov_tables_match_full_enumeration():
+    """Grids of size 8-9 whose Maslov table is two words wide, on every
+    slice and on a two-slice set."""
+    rng = np.random.default_rng(48)
+    checked = 0
+    while checked < 3:
+        calc = GradingCalculator(random_grid(rng, int(rng.integers(8, 10))))
+        if generators._completion_table(calc, "maslov")[3] <= 64:
+            continue
+        levels = generators.graded_levels(calc, "maslov")
+        _check_maslov_table_against_all_states(calc, levels, [levels[1], levels[-2]])
+        checked += 1
+
+
+def test_maslov_values_past_bit_63_match_full_enumeration():
+    """At n <= 9 every attained relative value stays below 64, so the
+    second word of those tables is empty.  On this n=10 grid four
+    slices sit past bit 63, reached only through carries between words."""
+    calc = GradingCalculator(make_grid([4, 0, 2, 1, 7, 9, 8, 6, 3, 5],
+                                       [7, 9, 8, 5, 4, 6, 3, 1, 2, 0]))
+    base = generators._completion_table(calc, "maslov")[1]
+    levels = generators.graded_levels(calc, "maslov")
+    high = [level for level in levels if level - base >= 2 * 64]
+    assert len(high) == 4
+    _check_maslov_table_against_all_states(calc, high, [levels[3], high[0]])
 
 
 def test_verify_d2_catches_one_flipped_entry():

@@ -45,6 +45,7 @@ from .grids import (
     corpus_path,
     count_components,
     load_grid,
+    mirror,
     simplify,
 )
 from .homology import homology_ranks, inflate
@@ -53,6 +54,7 @@ from .invariants import (
     # Unused here, but perfbench's traced run wraps this name in this module.
     genus2,  # noqa: F401
     hat_ranks,
+    scan_bottom,
     top_group,
 )
 from .ledger import (
@@ -68,11 +70,11 @@ from .ledger import (
 )
 from .murasugi import (
     CaseSide,
-    bottom_groups,
-    checked_bottom_group,
     cable_top_group_predict,
+    checked_mirror_scan,
     load_case,
     make_connected_sum_case,
+    mirror_scans,
     verify_theorem1,
     verify_theorem2,
 )
@@ -213,17 +215,19 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         path_b = _resolve_input(args.connect[1])
         ga = _working(load_grid(path_a), "summand1", sizes)
         gb = _working(load_grid(path_b), "summand2", sizes)
-        # Each summand declares its doubled genus, read off the bottom
-        # group that both theorem checks then reuse.
-        groups = [bottom_group(g, args.max_generators) for g in (ga, gb)]
-        side_a = CaseSide(ga, -groups[0].alex2, path_a.stem)
-        side_b = CaseSide(gb, -groups[1].alex2, path_b.stem)
+        # Each summand declares its doubled genus, read off the scan of
+        # its mirror (a link and its mirror share the genus), which both
+        # theorem checks then reuse.
+        scans = [scan_bottom(mirror(g), args.max_generators)
+                 for g in (ga, gb)]
+        side_a = CaseSide(ga, -scans[0].group.alex2, path_a.stem)
+        side_b = CaseSide(gb, -scans[1].group.alex2, path_b.stem)
         case = make_connected_sum_case(
             f"{path_a.stem}#{path_b.stem}", side_a, side_b)
         case = dataclasses.replace(case, total=_working_side(
             case.total, "sum", sizes))
-        groups.append(checked_bottom_group(case.total, "sum",
-                                           args.max_generators))
+        scans.append(checked_mirror_scan(case.total, "sum",
+                                         args.max_generators))
         expect = {}
         inputs = {"summand1": _digest(path_a), "summand2": _digest(path_b)}
     else:
@@ -236,11 +240,11 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
             summand2=_working_side(case.summand2, "summand2", sizes),
             total=_working_side(case.total, "sum", sizes))
         inputs = {"case": _digest(path)}
-        groups = bottom_groups(case, args.max_generators)
+        scans = mirror_scans(case, args.max_generators)
 
     report = RunReport(command=_echo(args), inputs=inputs, grid_sizes=sizes)
-    r1 = verify_theorem1(case, groups)
-    r2 = verify_theorem2(case, groups, args.max_generators)
+    r1 = verify_theorem1(case, scans)
+    r2 = verify_theorem2(case, scans, args.max_generators)
     report.results = {
         "case": case.name,
         "theorem1": r1.to_json(),

@@ -1,10 +1,11 @@
 """Level complexes, bigraded homology ranks, and the two-step filtration.
 
-The entry points ``homology_ranks`` and ``induced_map_ranks`` take a
+The entry points ``homology_ranks`` and ``induced_map_rank`` take a
 grid and build its one GradingCalculator; everything below them,
-``build_level_complex`` and ``build_two_step`` included, takes that
-calculator, whose completion tables and rectangle counts they share.
-A boundary's target basis is passed as an array of generators.
+``build_level_complex``, ``build_two_step`` and ``induced_map_ranks``
+included, takes that calculator, whose completion tables and rectangle
+counts they share.  A boundary's target basis is passed as an array of
+generators.
 
 The level complex at doubled Alexander grading s is spanned by the
 generators of that level with the boundary counting rectangles empty of
@@ -21,12 +22,18 @@ tilde table is the hat inflated.  The tail is enumerated in one pass of
 ``generators_up_to``; the subset DP ``level_counts`` sizes it against
 the budget beforehand, reports every level's count, and gives each
 level's Euler characteristic, which the finished table must match on
-every call.  No level above the tail is enumerated or graded.  Callers
-that need only a few levels (the bottom scan, the two-step subcomplex)
-enumerate just those levels.
+every call.  No level above the tail is enumerated or graded.  The
+bottom scan of ``invariants`` enumerates just the levels it visits.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
-generators at or below a cutoff span a subcomplex.  The rank of the map
+generators at or below a cutoff span a subcomplex.  A level built over
+the generators below it (``build_level_complex(..., below=...)``) gets
+its filtered boundary into that subcomplex in one pass: a rectangle
+with no X inside keeps alex2, so the entries that stay in the level are
+its level boundary, and the rest go down.  The bottom scan builds each
+level so, and ``two_step_from_levels`` joins the levels into the
+subcomplex up to the last of them; ``build_two_step`` builds it for any
+cutoff from the generators up to it.  The rank of the map
 on homology induced by its inclusion is computed per Maslov slice as
 
     dim Z_S - dim(Z_S  intersect  image of the full boundary)
@@ -72,9 +79,18 @@ from .gradings import GradingCalculator
 from .rectangles import MODE_FILTERED, MODE_LEVEL, boundary_entries
 
 
+def _no_entries():
+    return np.empty(0, dtype=np.int64)
+
+
 @dataclass
 class LevelComplex:
-    """One Alexander level with its level-preserving boundary."""
+    """One Alexander level with its level-preserving boundary.
+
+    ``down_rows`` and ``down_cols`` hold the filtered boundary out of
+    the level into the generators it was built over (``below``), empty
+    when there were none.
+    """
 
     alex2: int
     n: int
@@ -82,6 +98,8 @@ class LevelComplex:
     maslov2: np.ndarray       # (m,)
     rows: np.ndarray          # boundary entries: target indices
     cols: np.ndarray          # boundary entries: source indices
+    down_rows: np.ndarray = field(default_factory=_no_entries)  # into below
+    down_cols: np.ndarray = field(default_factory=_no_entries)
 
     @property
     def size(self):
@@ -92,32 +110,39 @@ class LevelComplex:
         return len(self.gens) == 0
 
 
-def _graded_boundary(calc, gens, mode):
-    """Canonical order, maslov2 and the boundary of ``gens`` among themselves.
-
-    ``gens`` are lexicographic; they are sorted by maslov2, keeping that
-    order within each slice, and the boundary is restricted to them.
-    Returns (gens, maslov2, rows, cols).
-    """
+def _canonical(calc, gens):
+    """Lexicographic ``gens`` sorted by maslov2, keeping that order within
+    each slice; returns (gens, maslov2)."""
     m2 = calc.maslov2_batch(gens)
     order = np.argsort(m2, kind="stable")
-    gens, m2 = gens[order], m2[order]
-    rows, cols = boundary_entries(calc.rectangles, gens, gens, mode)
-    return gens, m2, rows, cols
+    return gens[order], m2[order]
 
 
 def build_level_complex(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                        gens=None):
+                        gens=None, below=None):
     """The level complex at alex2 of the calculator's grid.
 
     ``gens``, when given, are all int64 generators of that level in
-    lexicographic order, and enumeration is skipped.
+    lexicographic order, and enumeration is skipped.  ``below``, when
+    given, is an int64 array of generators of lower levels: the filtered
+    boundary out of the level is then computed into ``below`` followed
+    by the level, in one pass.  Its entries that stay in the level are
+    the level boundary, and those into ``below`` are kept as
+    ``down_rows`` (indices into ``below``) and ``down_cols``.
     """
     if gens is None:
         gens = generators_in_level(calc, alex2, max_generators)
-    gens, m2, rows, cols = _graded_boundary(calc, gens, MODE_LEVEL)
+    gens, m2 = _canonical(calc, gens)
+    if below is None:
+        rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_LEVEL)
+        return LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2,
+                            rows=rows, cols=cols)
+    rows, cols = boundary_entries(calc.rectangles, gens,
+                                  np.concatenate([below, gens]), MODE_FILTERED)
+    down = rows < len(below)
     return LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2,
-                        rows=rows, cols=cols)
+                        rows=rows[~down] - len(below), cols=cols[~down],
+                        down_rows=rows[down], down_cols=cols[down])
 
 
 def verify_d2(rows, cols, size):
@@ -327,8 +352,31 @@ class TwoStepFiltration:
 def build_two_step(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """The subcomplex of the generators at or below the cutoff."""
     gens = generators_up_to(calc, cutoff_alex2, max_generators)
-    gens, m2, rows, cols = _graded_boundary(calc, gens, MODE_FILTERED)
+    gens, m2 = _canonical(calc, gens)
+    rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_FILTERED)
     return TwoStepFiltration(gens=gens, maslov2=m2, rows=rows, cols=cols)
+
+
+def two_step_from_levels(levels):
+    """The subcomplex spanned by level complexes, each built over all the
+    ones before it (``below``), as the bottom scan builds them.
+
+    The levels are joined in their order, with each level's boundary and
+    its entries into the levels before it, and re-sorted by maslov2
+    (stable) into canonical order.
+    """
+    starts = np.cumsum([0] + [lc.size for lc in levels[:-1]])
+    m2 = np.concatenate([lc.maslov2 for lc in levels])
+    rows = np.concatenate([part for lc, start in zip(levels, starts)
+                           for part in (lc.rows + start, lc.down_rows)])
+    cols = np.concatenate([part for lc, start in zip(levels, starts)
+                           for part in (lc.cols + start, lc.down_cols + start)])
+    order = np.argsort(m2, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    gens = np.concatenate([lc.gens for lc in levels])
+    return TwoStepFiltration(gens=gens[order], maslov2=m2[order],
+                             rows=position[rows], cols=position[cols])
 
 
 def _sub_cycles_by_maslov(filt):
@@ -346,8 +394,11 @@ def _sub_cycles_by_maslov(filt):
     return cycles
 
 
-def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
+def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     """Per-slice terms of the rank of H(sub) -> H(full), lowest slice first.
+
+    ``filt`` is the TwoStepFiltration of the subcomplex, on the grid of
+    the calculator.
 
     Yields, for every needed Maslov slice m2 in increasing order, the
     number dim Z_S - dim(Z_S meet B) >= 0, where Z_S is the cycle space
@@ -359,8 +410,6 @@ def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS)
     that stops early never lists the slices above, and the budget
     bounds the slices visited and not n!.
     """
-    calc = GradingCalculator(grid)
-    filt = build_two_step(calc, cutoff_alex2, max_generators)
     if len(filt.gens) == 0:
         return
     cycles = _sub_cycles_by_maslov(filt)
@@ -390,6 +439,9 @@ def induced_map_ranks(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS)
 
 
 def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
-    """Rank of H(sub) -> H(full) for the two-step filtration: the sum of
-    ``induced_map_ranks`` over every needed Maslov slice."""
-    return sum(induced_map_ranks(grid, cutoff_alex2, max_generators))
+    """Rank of H(sub) -> H(full) for the subcomplex of the generators at
+    or below the cutoff: the sum of ``induced_map_ranks`` over every
+    needed Maslov slice."""
+    calc = GradingCalculator(grid)
+    filt = build_two_step(calc, cutoff_alex2, max_generators)
+    return sum(induced_map_ranks(calc, filt, max_generators))

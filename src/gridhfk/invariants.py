@@ -1,23 +1,37 @@
 """Link invariants read off the grid complex.
 
-The extremal (bottom) group comes from scanning the non-empty Alexander
-levels upward, as the alex completion table lists them, until homology
-appears; Corollary-style deflation says that level carries the hat
-group of the lowest Alexander grading shifted by [k - l], so reported
-gradings are corrected by 2(n - l) before anything downstream sees
-them.  The genus is minus the corrected bottom grading.
-Tau extremality asks whether the inclusion of the bottom filtration
-window induces a nonzero map on total homology.  The rank of that map
-is a sum of non-negative terms, one per Maslov slice, so the answer is
-read off the first positive term, lowest slice first, and the slices
-above it are never listed.  The top group is the reflected bottom
-group of the mirror.  By the symmetry
-HFK_d(a) = HFK_{d-2a}(-a), the top group sits at the genus, and a link
-and its mirror have the same genus.
+One scanner serves the extremal groups and τ.  ``scan_bottom`` walks
+the non-empty Alexander levels of a grid upward, as the alex completion
+table lists them, until homology appears.  Each level is built over the
+levels scanned before it, so it comes with its filtered boundary into
+that tail; its ranks read the entries that stay in the level, and its
+signed generator count must equal the signed sum of its ranks (0 for the
+acyclic levels below the bottom), or InconsistentComplex is raised.
+Corollary-style deflation says the last level carries the hat group of
+the lowest Alexander grading shifted by [k - l], so reported gradings
+are corrected by 2(n - l) before anything downstream sees them.  The
+genus is minus the corrected bottom grading.
 
-Each of ``bottom_group``, ``state_sum`` and the ``homology`` entry
-points behind ``hat_ranks`` and τ builds one GradingCalculator for its
-grid and shares it with every layer beneath.
+Tau extremality asks whether the inclusion of the bottom filtration
+window, the generators at or below the scan's last level, induces a
+nonzero map on total homology.  That window is the scanned tail, so τ
+runs on the scan's calculator and tail (``BottomScan.tau_extremal``).
+The rank of that map is a sum of non-negative terms, one per Maslov
+slice, so the answer is read off the first positive term, lowest slice
+first, and the slices above it are never listed.
+
+The top group is the reflected bottom group of the mirror.  By the
+symmetry HFK_d(a) = HFK_{d-2a}(-a), the top group sits at the genus, a
+link and its mirror have the same genus, and the bottom group of a link
+is the image of the bottom group of its mirror
+(``ExtremalGroup.mirrored``).  So one scan of the mirror gives a link's
+bottom group, its top group and τ_top; the Murasugi checks scan each
+link once, so.
+
+Each of ``scan_bottom`` (behind ``bottom_group``, ``top_group`` and
+the τ flags), ``state_sum`` and the ``homology`` entry points behind
+``hat_ranks`` builds one GradingCalculator for its grid and shares it
+with every layer beneath.
 
 The full hat table is the tilde table of ``homology_ranks`` (built
 from the bottom tail of levels and the symmetry, and checked against
@@ -35,7 +49,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NegativeIndex, NotAKnot, InconsistentComplex
+import numpy as np
+
+from .errors import (
+    GridResourceError,
+    InconsistentComplex,
+    NegativeIndex,
+    NotAKnot,
+)
 from .generators import DEFAULT_MAX_GENERATORS, graded_levels, level_counts
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
@@ -49,6 +70,7 @@ from .homology import (
     induced_map_rank,  # noqa: F401
     induced_map_ranks,
     level_homology_ranks,
+    two_step_from_levels,
 )
 from .polynomials import LaurentPoly, divide_exact
 
@@ -72,30 +94,104 @@ class ExtremalGroup:
     def reflected(self):
         return ExtremalGroup(-self.alex2, self.poincare.reflect(), self.components)
 
+    def mirrored(self):
+        """The bottom group of the mirror, when this is a bottom group.
+
+        By HFK_d(a) = HFK_{d-2a}(-a), with the 2(l - 1) Maslov shift of
+        links, the reflected top group of the link: the same alex2, and
+        Maslov exponents m2 -> 2 alex2 - 2(l - 1) - m2.  Applied twice it
+        is the identity.
+        """
+        top = 2 * self.alex2 - 2 * (self.components - 1)
+        poincare = LaurentPoly({top - m2: r
+                                for m2, r in self.poincare.coeffs.items()})
+        return ExtremalGroup(self.alex2, poincare, self.components)
+
+
+def _check_level_euler(lc, ranks):
+    """Raise InconsistentComplex unless the level's signed generator count
+    equals the signed sum of its homology ranks."""
+    count = int((1 - 2 * (lc.maslov2 // 2 % 2)).sum())
+    euler = sum(-r if m2 // 2 % 2 else r for m2, r in ranks.items())
+    if count != euler:
+        raise InconsistentComplex(
+            f"Euler characteristic {euler} at alex2 = {lc.alex2} differs "
+            f"from the signed generator count {count}")
+
+
+@dataclass
+class BottomScan:
+    """The lowest non-empty Alexander levels of one grid, up to the first
+    with homology.
+
+    ``levels`` are their LevelComplexes in increasing alex2, each built
+    over the ones before it; ``ranks`` are the tilde ranks of the last.
+    """
+
+    calc: GradingCalculator
+    levels: list
+    ranks: dict
+
+    @property
+    def group(self):
+        """The scanned grid's bottom group, hat-shifted."""
+        shift = 2 * (self.calc.n - self.calc.components)
+        poincare = LaurentPoly({m2 + shift: r for m2, r in self.ranks.items()})
+        return ExtremalGroup(alex2=self.levels[-1].alex2 + shift,
+                             poincare=poincare,
+                             components=self.calc.components)
+
+    def tau_extremal(self, max_generators=DEFAULT_MAX_GENERATORS):
+        """Whether τ_bot = -g for the scanned grid.
+
+        True exactly when the subcomplex of the generators at or below the
+        last level, -genus2 - 2(n - l), includes into the full filtered
+        complex with a nonzero map on homology: some Maslov slice term of
+        ``induced_map_ranks`` is positive, and the slices stop at the first.
+        """
+        filt = two_step_from_levels(self.levels)
+        return any(induced_map_ranks(self.calc, filt, max_generators))
+
+
+def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
+    """Scan the levels of the grid upward to the first nonzero homology.
+
+    Only the levels that hold generators are visited, as the alex
+    completion table lists them (``graded_levels``); termination is
+    guaranteed because the total tilde homology is nonzero.  The scanned
+    tail is kept, and GridResourceError is raised once it holds more
+    than ``max_generators``.  ``level_sizes``, when given, is a dict that
+    receives the number of generators of every scanned level, in
+    increasing alex2.
+    """
+    calc = GradingCalculator(grid)
+    levels = []
+    below = np.empty((0, calc.n), dtype=np.int64)
+    for s in graded_levels(calc, "alex"):
+        lc = build_level_complex(calc, s, max_generators, below=below)
+        if level_sizes is not None:
+            level_sizes[s] = lc.size
+        size = len(below) + lc.size
+        if size > max_generators:
+            raise GridResourceError(
+                f"the {size} generators of the levels up to {s} exceed "
+                f"the budget {max_generators}", estimate=size)
+        ranks = level_homology_ranks(lc)
+        _check_level_euler(lc, ranks)
+        levels.append(lc)
+        if ranks:
+            return BottomScan(calc, levels, ranks)
+        below = np.concatenate([below, lc.gens])
+    raise InconsistentComplex("no nonzero homology level found")
+
 
 def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS,
                  level_sizes=None):
-    """Scan levels upward and return the first nonzero homology, hat-shifted.
+    """The hat group at the lowest Alexander grading, from ``scan_bottom``.
 
-    Only the levels that hold generators are visited, as the alex
-    completion table lists them (``graded_levels``), and levels with
-    vanishing homology are skipped; termination is guaranteed because
-    the total tilde homology is nonzero.  ``level_sizes``, when given, is
-    a dict that receives the number of generators of every non-empty
-    tilde level the scan built, in increasing alex2.
+    ``level_sizes`` is handed to ``scan_bottom``.
     """
-    calc = GradingCalculator(grid)
-    shift = 2 * (calc.n - calc.components)
-    for s in graded_levels(calc, "alex"):
-        lc = build_level_complex(calc, s, max_generators)
-        if level_sizes is not None:
-            level_sizes[s] = lc.size
-        ranks = level_homology_ranks(lc)
-        if ranks:
-            poincare = LaurentPoly({m2 + shift: r for m2, r in ranks.items()})
-            return ExtremalGroup(alex2=s + shift, poincare=poincare,
-                                 components=calc.components)
-    raise InconsistentComplex("no nonzero homology level found")
+    return scan_bottom(grid, max_generators, level_sizes).group
 
 
 def top_group(grid, max_generators=DEFAULT_MAX_GENERATORS):
@@ -111,30 +207,22 @@ def genus2(grid, max_generators=DEFAULT_MAX_GENERATORS):
     return g2
 
 
-def tau_bot_is_minus_g(grid, max_generators=DEFAULT_MAX_GENERATORS,
-                       genus2_hint=None):
-    """Whether the bottom tau invariant equals minus the genus.
-
-    True exactly when the subcomplex of generators with alex2 at most
-    -genus2 - 2(n - l) includes into the full filtered complex with a
-    nonzero map on homology: some Maslov slice term of
-    ``induced_map_ranks`` is positive, and the scan stops at the first.
-    ``genus2_hint``, when given, is the doubled genus and spares the
-    bottom scan.
-    """
-    g2 = genus2_hint if genus2_hint is not None else genus2(grid, max_generators)
-    cutoff = -g2 - 2 * (grid.n - count_components(grid))
-    return any(induced_map_ranks(grid, cutoff, max_generators))
+def tau_bot_is_minus_g(grid, max_generators=DEFAULT_MAX_GENERATORS):
+    """Whether the bottom tau invariant equals minus the genus: the tau
+    flag of the grid's one bottom scan (``BottomScan.tau_extremal``)."""
+    return scan_bottom(grid, max_generators).tau_extremal(max_generators)
 
 
 def tau_top_is_g(grid, max_generators=DEFAULT_MAX_GENERATORS,
-                 genus2_hint=None):
+                 mirror_scan=None):
     """Whether the top tau invariant equals the genus (mirror duality).
 
-    A link and its mirror have the same genus, so ``genus2_hint`` is
-    handed to the mirror unchanged.
+    ``mirror_scan``, when given, is the ``scan_bottom`` of the grid's
+    mirror, and no scan is made.
     """
-    return tau_bot_is_minus_g(mirror(grid), max_generators, genus2_hint)
+    if mirror_scan is None:
+        mirror_scan = scan_bottom(mirror(grid), max_generators)
+    return mirror_scan.tau_extremal(max_generators)
 
 
 def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):

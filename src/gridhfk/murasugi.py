@@ -16,13 +16,15 @@ Checks implemented:
     when both summands do;
   * a cable prediction for the top group of the (p,q) cable of a knot.
 
-Both checks run in sequence on one bottom group per link
-(``bottom_groups``, or ``checked_bottom_group`` one link at a time),
-which a caller computes once and hands to both.
+Both checks run in sequence on one scan per link: the bottom scan of
+its mirror (``mirror_scans``, or ``checked_mirror_scan`` one link at a
+time), which a caller makes once and hands to both.  The scan gives the
+link's bottom group by the hat symmetry (``ExtremalGroup.mirrored``)
+for the first check, and τ_top for the second, whose filtration window
+is the scanned tail.
 Declared indices are cross-checked against the computed bottom Alexander
 levels; a disagreement raises IndexMismatch (the declared surface cannot
-have been minimal) instead of reporting a verdict.  The tau check reads
-each link's genus off its bottom group instead of scanning the mirror.
+have been minimal) instead of reporting a verdict.
 """
 
 import json
@@ -41,8 +43,16 @@ from .grids import (
     corpus_path,
     count_components,
     load_grid,
+    mirror,
 )
-from .invariants import ExtremalGroup, bottom_group, tau_top_is_g
+from .invariants import (
+    BottomScan,
+    ExtremalGroup,
+    # Unused here, but perfbench's traced run wraps this name in this module.
+    bottom_group,  # noqa: F401
+    scan_bottom,
+    tau_top_is_g,
+)
 from .polynomials import LaurentPoly
 
 
@@ -112,27 +122,30 @@ class VerificationReport:
         }
 
 
-def checked_bottom_group(side: CaseSide, label: str,
-                         max_generators=DEFAULT_MAX_GENERATORS) -> ExtremalGroup:
-    """Bottom group of one side; IndexMismatch unless it sits at minus
-    the declared index."""
-    group = bottom_group(side.grid, max_generators)
-    if group.alex2 != -side.index2:
+def checked_mirror_scan(side: CaseSide, label: str,
+                        max_generators=DEFAULT_MAX_GENERATORS) -> BottomScan:
+    """The bottom scan of one side's mirror; IndexMismatch unless the
+    side's bottom group, read off it, sits at minus the declared index.
+    A link and its mirror have the same genus, so the scanned group's
+    level is the side's."""
+    scan = scan_bottom(mirror(side.grid), max_generators)
+    alex2 = scan.group.alex2
+    if alex2 != -side.index2:
         raise IndexMismatch(
-            f"{label}: computed bottom Alexander level {group.alex2} does "
+            f"{label}: computed bottom Alexander level {alex2} does "
             f"not equal minus the declared doubled index {side.index2}; "
             f"the declared surface is not minimal")
-    return group
+    return scan
 
 
-def bottom_groups(case: MurasugiCase,
-                  max_generators=DEFAULT_MAX_GENERATORS) -> list:
-    """Bottom groups of summand1, summand2 and the sum, in that order.
+def mirror_scans(case: MurasugiCase,
+                 max_generators=DEFAULT_MAX_GENERATORS) -> list:
+    """Mirror scans of summand1, summand2 and the sum, in that order.
 
-    Each declared index is checked against its group as soon as that
-    group is known; a disagreement raises IndexMismatch.
+    Each declared index is checked against its scan as soon as that
+    scan is made; a disagreement raises IndexMismatch.
     """
-    return [checked_bottom_group(side, label, max_generators)
+    return [checked_mirror_scan(side, label, max_generators)
             for side, label in ((case.summand1, "summand1"),
                                 (case.summand2, "summand2"),
                                 (case.total, "sum"))]
@@ -142,15 +155,18 @@ def _shifted(group: ExtremalGroup, components: int) -> LaurentPoly:
     return group.poincare.shift(2 * (components - 1))
 
 
-def verify_theorem1(case: MurasugiCase, groups=None) -> VerificationReport:
+def verify_theorem1(case: MurasugiCase, scans=None,
+                    max_generators=DEFAULT_MAX_GENERATORS) -> VerificationReport:
     """Check that the sum's extremal group is the tensor product of the
     summands' extremal groups, after the component-count Maslov shifts.
 
-    ``groups`` are the three bottom groups from ``bottom_groups``; they
-    are computed when not given.
+    ``scans`` are the three scans from ``mirror_scans``; they are made
+    when not given.  Each link's bottom group is the mirror image of its
+    mirror's.
     """
     start = time.perf_counter()
-    b1, b2, bs = groups or bottom_groups(case)
+    b1, b2, bs = [scan.group.mirrored()
+                  for scan in scans or mirror_scans(case, max_generators)]
 
     p1 = _shifted(b1, case.summand1.components)
     p2 = _shifted(b2, case.summand2.components)
@@ -185,20 +201,19 @@ def _euler_shadow(b1, b2, bs, case: MurasugiCase) -> bool:
     return euler(bs) == euler(b1) * euler(b2) * sign
 
 
-def verify_theorem2(case: MurasugiCase, groups=None,
+def verify_theorem2(case: MurasugiCase, scans=None,
                     max_generators=DEFAULT_MAX_GENERATORS) -> VerificationReport:
     """Check the extremality equivalence: the sum attains tau_top = g
     exactly when both summands do.
 
-    Each link's doubled genus is minus the Alexander grading of its
-    bottom group, so ``groups`` (computed when not given) spare tau its
-    own bottom scans.
+    τ_top of each link runs on the scan of its mirror, ``scans`` (made
+    when not given), whose tail is the filtration window.
     """
     start = time.perf_counter()
-    groups = groups or bottom_groups(case, max_generators)
+    scans = scans or mirror_scans(case, max_generators)
     sides = (case.summand1, case.summand2, case.total)
-    f1, f2, fs = [tau_top_is_g(side.grid, max_generators, -group.alex2)
-                  for side, group in zip(sides, groups)]
+    f1, f2, fs = [tau_top_is_g(side.grid, max_generators, scan)
+                  for side, scan in zip(sides, scans)]
     passed = (f1 and f2) == fs
     details = {
         "summand1_tau_top_is_g": f1,

@@ -24,6 +24,7 @@ from gridhfk.gradings import GradingCalculator
 from gridhfk.grids import load_corpus
 from gridhfk.homology import (
     build_level_complex,
+    build_two_step,
     homology_ranks,
     induced_map_rank,
     induced_map_ranks,
@@ -360,10 +361,11 @@ def test_slice_terms_sum_to_the_oracle_and_any_decides_positivity():
         calc = GradingCalculator(g)
         for cutoff in range(calc.level_floor(), calc.level_ceiling() + 1):
             want = oracle_inclusion_rank(g.x_cols, g.o_cols, cutoff)
-            terms = list(induced_map_ranks(g, cutoff))
+            filt = build_two_step(calc, cutoff)
+            terms = list(induced_map_ranks(calc, filt))
             assert all(t >= 0 for t in terms), (g, cutoff, terms)
             assert sum(terms) == want, (g, cutoff, terms)
-            assert any(induced_map_ranks(g, cutoff)) == (want > 0), (g, cutoff)
+            assert any(induced_map_ranks(calc, filt)) == (want > 0), (g, cutoff)
 
 
 # --------------------------------------------------------------------------

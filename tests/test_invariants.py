@@ -6,14 +6,25 @@ rank tables for these links; the tests pin the library to those values.
 Grading pairs are written (maslov2, alex2) in doubled coordinates.
 """
 
+import io
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from gridhfk.errors import NotAKnot, NotDivisible
+from gridhfk import invariants
+from gridhfk.cli import run
+from gridhfk.errors import InconsistentComplex, NotAKnot, NotDivisible
 from gridhfk.grids import count_components, load_corpus, make_grid, mirror
-from gridhfk.homology import BigradedRanks, deflate_to_hat, homology_ranks, inflate
+from gridhfk.generators import encode_perms
+from gridhfk.homology import (
+    BigradedRanks,
+    build_two_step,
+    deflate_to_hat,
+    homology_ranks,
+    inflate,
+    two_step_from_levels,
+)
 from gridhfk.invariants import (
     ExtremalGroup,
     alexander_polynomial,
@@ -22,6 +33,7 @@ from gridhfk.invariants import (
     hat_ranks,
     is_extremal_rank_one,
     is_extremal_thin,
+    scan_bottom,
     state_sum,
     tau_bot_is_minus_g,
     tau_top_is_g,
@@ -29,7 +41,12 @@ from gridhfk.invariants import (
 )
 from gridhfk.polynomials import LaurentPoly
 
-from oracle import oracle_hat_ranks
+from oracle import (
+    oracle_bottom_group,
+    oracle_components,
+    oracle_hat_ranks,
+    oracle_inclusion_rank,
+)
 from test_grids import random_grid
 
 
@@ -191,8 +208,10 @@ def test_genus_values_and_mirror_invariance():
 
 def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
     """HFK_d(a) = HFK_{d-2a}(-a): the top group sits at the genus, and a
-    link and its mirror have the same genus.  The tau check of the
-    Murasugi sums relies on both, so the genus hint must not change tau."""
+    link and its mirror have the same genus.  The Murasugi checks rely on
+    both when they read a link's bottom group and τ_top off one scan of
+    its mirror, so that scan must give the grid's own bottom group and
+    must not change tau."""
     rng = np.random.default_rng(33)
     links = 0
     for _ in range(40):
@@ -201,8 +220,67 @@ def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
         g2 = genus2(g)
         assert genus2(mirror(g)) == g2 == top_group(g).alex2
         if g.n <= 5:
-            assert tau_top_is_g(g, genus2_hint=g2) == tau_top_is_g(g)
+            scan = scan_bottom(mirror(g))
+            assert scan.group.mirrored() == bottom_group(g)
+            assert tau_top_is_g(g, mirror_scan=scan) == tau_top_is_g(g)
     assert links
+
+
+def _generators_and_edges(filt, n):
+    keys = encode_perms(filt.gens, n).tolist()
+    edges = sorted((keys[c], keys[r])
+                   for r, c in zip(filt.rows.tolist(), filt.cols.tolist()))
+    return sorted(keys), edges
+
+
+def test_mirror_scans_of_multi_level_tails_match_the_oracle():
+    """The CLI simplifies every grid, and the tails of those grids are one
+    level each, so the scans with two or more levels are drawn here: the
+    bottom group read off the mirror's scan, and τ_top on its tail (true
+    for three of the four, false for one).  The tail joined from the
+    levels is the subcomplex ``build_two_step`` builds at its top level."""
+    rng = np.random.default_rng(45)
+    found = 0
+    for _ in range(200):
+        g = random_grid(rng, int(rng.integers(3, 7)))
+        scan = scan_bottom(mirror(g))
+        if len(scan.levels) < 2:
+            continue
+        found += 1
+        alex2, ranks = oracle_bottom_group(g.x_cols, g.o_cols)
+        group = scan.group.mirrored()
+        assert (group.alex2, group.poincare.coeffs) == (alex2, ranks), g
+        m = mirror(g)
+        cutoff = alex2 - 2 * (g.n - oracle_components(g.x_cols, g.o_cols))
+        assert scan.levels[-1].alex2 == cutoff, g
+        want = oracle_inclusion_rank(m.x_cols, m.o_cols, cutoff) > 0
+        assert tau_top_is_g(g, mirror_scan=scan) == want, g
+        tail = two_step_from_levels(scan.levels)
+        assert np.all(np.diff(tail.maslov2) >= 0), g
+        assert (_generators_and_edges(tail, g.n) == _generators_and_edges(
+            build_two_step(scan.calc, cutoff), g.n)), g
+        if found == 4:
+            break
+    assert found == 4
+
+
+def test_scan_checks_each_level_euler_characteristic(monkeypatch):
+    """A level whose ranks do not sum, signed, to its signed generator
+    count raises InconsistentComplex, which the CLI reports as exit 1."""
+    right = invariants.level_homology_ranks
+
+    def one_too_many(lc):
+        ranks = right(lc)
+        m2 = int(lc.maslov2[0])
+        return {**ranks, m2: ranks.get(m2, 0) + 1}
+
+    monkeypatch.setattr(invariants, "level_homology_ranks", one_too_many)
+    with pytest.raises(InconsistentComplex, match="Euler characteristic"):
+        bottom_group(corpus("trefoil5"))
+    err = io.StringIO()
+    assert run(["compute", "--window", "bottom", "corpus:trefoil5"],
+               out=io.StringIO(), err=err) == 1
+    assert err.getvalue().startswith("InconsistentComplex")
 
 
 def test_extremal_predicates():
@@ -319,7 +397,7 @@ def test_each_entry_point_builds_one_calculator_and_one_counter(monkeypatch):
     calls = {
         "bottom_group": lambda: bottom_group(g),
         "homology_ranks": lambda: homology_ranks(g),
-        "tau_bot_is_minus_g": lambda: tau_bot_is_minus_g(g, genus2_hint=2),
+        "tau_bot_is_minus_g": lambda: tau_bot_is_minus_g(g),
         "alexander_polynomial": lambda: alexander_polynomial(g),
     }
     for name, call in calls.items():

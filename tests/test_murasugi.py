@@ -7,6 +7,7 @@ import pytest
 
 from gridhfk.errors import (
     GridInputError,
+    GridResourceError,
     IndexMismatch,
     NegativeIndex,
     UnsupportedQ,
@@ -142,6 +143,13 @@ def test_theorem2_truth_table_all_four_corners():
         assert report.details["summand1_tau_top_is_g"] == f1, name
         assert report.details["summand2_tau_top_is_g"] == f2, name
         assert report.details["sum_tau_top_is_g"] == fs, name
+
+
+def test_both_theorems_honour_the_generator_budget():
+    case, _ = load_bundled("trefoil_connected_sum")
+    for verify in (verify_theorem1, verify_theorem2):
+        with pytest.raises(GridResourceError):
+            verify(case, max_generators=1)
 
 
 def test_index_mismatch_on_underdeclared_summand():

@@ -151,8 +151,11 @@ def test_traced_bottom_window_enumerates_each_level_once(spans):
 
 
 def test_traced_murasugi_scans_each_link_once(spans):
-    # One bottom group per link: the summands' groups declare their
-    # indices, and both theorem checks share all three.
+    # One scan per link, of its mirror: it declares the summands'
+    # indices, gives Theorem 1 the bottom groups and τ its tail.  Each
+    # link's tail is one level after simplification, and τ stops at its
+    # first slice, so every link takes one calculator, two Maslov
+    # gradings (the level, the slice pair) and two boundaries.
     tracer = spans.Tracer()
     tracer.install(gridhfk)
     try:
@@ -161,10 +164,13 @@ def test_traced_murasugi_scans_each_link_once(spans):
                                out=io.StringIO(), err=io.StringIO()) == 0
     finally:
         tracer.remove()
-    names = [s["name"] for s in tracer.spans]
+    names = Counter(s["name"] for s in tracer.spans)
     assert {"murasugi.verify_theorem1", "murasugi.verify_theorem2",
             "invariants.tau_top_is_g"} <= set(names)
-    assert names.count("invariants.bottom_group") == 3
+    assert names["gradings.calculator_init"] == 3
+    assert names["generators.generators_up_to"] == 0
+    assert names["rectangles.boundary_entries"] == 6
+    assert names["gradings.maslov2_batch"] == 6
     assert "invariants.genus2" not in names
 
 

@@ -2,10 +2,10 @@
 
 The entry points ``homology_ranks`` and ``induced_map_rank`` take a
 grid and build its one GradingCalculator; everything below them,
-``build_level_complex``, ``build_two_step`` and ``induced_map_ranks``
-included, takes that calculator, whose completion tables and rectangle
-counts they share.  A boundary's target basis is passed as an array of
-generators.
+``walk_levels``, ``build_level_complex``, ``build_two_step`` and
+``induced_map_ranks`` included, takes that calculator, whose completion
+tables and rectangle counts they share.  A boundary's target basis is
+passed as an array of generators.
 
 The level complex at doubled Alexander grading s is spanned by the
 generators of that level with the boundary counting rectangles empty of
@@ -18,22 +18,30 @@ tilde level s involves only hat levels s .. s + 2k, and dividing the
 tilde levels s <= -2k by (1 + mt)^k from the bottom gives every hat
 level a2 <= 0.  The hat symmetry HFK_d(a) = HFK_{d-2a}(-a), in doubled
 units (m2, a2) <-> (m2 - 2 a2, -a2), gives the levels a2 > 0, and the
-tilde table is the hat inflated.  The tail is enumerated in one pass of
-``generators_up_to``; the subset DP ``level_counts`` sizes it against
-the budget beforehand, reports every level's count, and gives each
-level's Euler characteristic, which the finished table must match on
-every call.  No level above the tail is enumerated or graded.  The
-bottom scan of ``invariants`` enumerates just the levels it visits.
+tilde table is the hat inflated.
+
+One walk, ``walk_levels``, builds the levels of both tails: the table's
+and that of the bottom scan in ``invariants``.  It takes (alex2,
+generators or None) in increasing alex2, builds each level complex,
+gives each enumeration the budget the levels before it left, computes
+the level's ranks and checks its signed generator count against their
+signed sum.  The table hands it its tail split by alex2 from one pass
+of ``generators_up_to``; the subset DP ``level_counts`` sizes that tail
+against the budget beforehand, reports every level's count, and gives
+each level's Euler characteristic, which the finished table must match
+on every call.  No level above the tail is enumerated or graded.  The
+bottom scan hands it one level at a time and stops at the first with
+homology, so it enumerates just the levels it visits.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
-generators at or below a cutoff span a subcomplex.  A level built over
-the generators below it (``build_level_complex(..., below=...)``) gets
-its filtered boundary into that subcomplex in one pass: a rectangle
-with no X inside keeps alex2, so the entries that stay in the level are
-its level boundary, and the rest go down.  The bottom scan builds each
-level so, and ``two_step_from_levels`` joins the levels into the
-subcomplex up to the last of them; ``build_two_step`` builds it for any
-cutoff from the generators up to it.  The rank of the map
+generators at or below a cutoff span a subcomplex.
+``two_step_from_levels`` joins walked levels into the subcomplex up to
+the last of them, τ's window: each level after the first adds its
+filtered boundary into the levels before it, from one rectangle pass
+with those levels as targets, made only when τ runs.  On the one-level
+tails of simplified grids there is no such pass.  ``build_two_step``
+builds the subcomplex for any cutoff from the generators up to it, in
+one pass, and the tests hold the two to each other.  The rank of the map
 on homology induced by its inclusion is computed per Maslov slice as
 
     dim Z_S - dim(Z_S  intersect  image of the full boundary)
@@ -79,27 +87,15 @@ from .gradings import GradingCalculator
 from .rectangles import MODE_FILTERED, MODE_LEVEL, boundary_entries
 
 
-def _no_entries():
-    return np.empty(0, dtype=np.int64)
-
-
 @dataclass
 class LevelComplex:
-    """One Alexander level with its level-preserving boundary.
-
-    ``down_rows`` and ``down_cols`` hold the filtered boundary out of
-    the level into the generators it was built over (``below``), empty
-    when there were none.
-    """
+    """One Alexander level with its level-preserving boundary."""
 
     alex2: int
-    n: int
     gens: np.ndarray          # (m, n) permutations, canonical order
     maslov2: np.ndarray       # (m,)
     rows: np.ndarray          # boundary entries: target indices
     cols: np.ndarray          # boundary entries: source indices
-    down_rows: np.ndarray = field(default_factory=_no_entries)  # into below
-    down_cols: np.ndarray = field(default_factory=_no_entries)
 
     @property
     def size(self):
@@ -119,30 +115,18 @@ def _canonical(calc, gens):
 
 
 def build_level_complex(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS,
-                        gens=None, below=None):
+                        gens=None):
     """The level complex at alex2 of the calculator's grid.
 
     ``gens``, when given, are all int64 generators of that level in
-    lexicographic order, and enumeration is skipped.  ``below``, when
-    given, is an int64 array of generators of lower levels: the filtered
-    boundary out of the level is then computed into ``below`` followed
-    by the level, in one pass.  Its entries that stay in the level are
-    the level boundary, and those into ``below`` are kept as
-    ``down_rows`` (indices into ``below``) and ``down_cols``.
+    lexicographic order, and enumeration is skipped.
     """
     if gens is None:
         gens = generators_in_level(calc, alex2, max_generators)
     gens, m2 = _canonical(calc, gens)
-    if below is None:
-        rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_LEVEL)
-        return LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2,
-                            rows=rows, cols=cols)
-    rows, cols = boundary_entries(calc.rectangles, gens,
-                                  np.concatenate([below, gens]), MODE_FILTERED)
-    down = rows < len(below)
-    return LevelComplex(alex2=alex2, n=calc.n, gens=gens, maslov2=m2,
-                        rows=rows[~down] - len(below), cols=cols[~down],
-                        down_rows=rows[down], down_cols=cols[down])
+    rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_LEVEL)
+    return LevelComplex(alex2=alex2, gens=gens, maslov2=m2, rows=rows,
+                        cols=cols)
 
 
 def verify_d2(rows, cols, size):
@@ -221,6 +205,43 @@ def level_homology_ranks(lc):
     return ranks
 
 
+def _check_level_euler(lc, ranks):
+    """Raise InconsistentComplex unless the level's signed generator count
+    equals the signed sum of its homology ranks."""
+    count = int((1 - 2 * (lc.maslov2 // 2 % 2)).sum())
+    euler = sum(-r if m2 // 2 % 2 else r for m2, r in ranks.items())
+    if count != euler:
+        raise InconsistentComplex(
+            f"Euler characteristic {euler} at alex2 = {lc.alex2} differs "
+            f"from the signed generator count {count}")
+
+
+def walk_levels(calc, levels, max_generators=DEFAULT_MAX_GENERATORS):
+    """Build, rank and check the levels of a tail, lowest first.
+
+    ``levels`` yields (alex2, gens) in increasing alex2, ``gens`` being
+    the level's generators, or None to enumerate them.  Yields
+    (LevelComplex, ranks keyed by maslov2) per level once the level's
+    signed generator count has matched the signed sum of its ranks.
+    Each enumeration is given the budget that the levels before it left,
+    so a tail over ``max_generators`` raises GridResourceError before its
+    last level is allocated or any of its rectangles is counted.
+    """
+    seen = 0
+    for s, gens in levels:
+        try:
+            lc = build_level_complex(calc, s, max_generators - seen, gens)
+        except GridResourceError as exc:
+            size = seen + exc.estimate
+            raise GridResourceError(
+                f"the levels up to {s} hold at least {size} generators, "
+                f"over the budget {max_generators}", estimate=size) from None
+        seen += lc.size
+        ranks = level_homology_ranks(lc)
+        _check_level_euler(lc, ranks)
+        yield lc, ranks
+
+
 @dataclass
 class BigradedRanks:
     """Nonzero homology ranks keyed by (maslov2, alex2)."""
@@ -293,12 +314,13 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
     by (1 + mt)^k from the bottom, which gives every hat level
     alex2 <= 0; the symmetry (m2, a2) <-> (m2 - 2 a2, -a2) of the hat
     gives the rest, and the result is the hat inflated.  The tail is
-    enumerated in one pass after ``level_counts`` has
-    checked its size against the budget, and no level above it is
-    graded.  The Euler characteristic of every level of the result must
-    equal the signed count from ``level_counts``, or InconsistentComplex
-    is raised.  ``level_sizes``, when given, is a dict that receives the
-    number of generators of every non-empty level, in increasing alex2.
+    enumerated in one pass after ``level_counts`` has checked its size
+    against the budget, and ``walk_levels`` builds, ranks and checks its
+    levels; no level above it is graded.  The Euler characteristic of
+    every level of the result must equal the signed count from
+    ``level_counts``, or InconsistentComplex is raised.  ``level_sizes``,
+    when given, is a dict that receives the number of generators of
+    every non-empty level, in increasing alex2.
     """
     calc = GradingCalculator(grid)
     k = calc.n - calc.components
@@ -313,11 +335,10 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
             f"the budget {max_generators}", estimate=size)
     gens = generators_up_to(calc, -2 * k, max_generators)
     alex2 = calc.alex2_batch(gens)
-    ranks = {}
-    for s in tail:
-        lc = build_level_complex(calc, s, max_generators, gens=gens[alex2 == s])
-        for m2, r in level_homology_ranks(lc).items():
-            ranks[(m2, s)] = r
+    walk = walk_levels(calc, ((s, gens[alex2 == s]) for s in tail),
+                       max_generators)
+    ranks = {(m2, lc.alex2): r for lc, level in walk
+             for m2, r in level.items()}
     hat = deflate_to_hat(BigradedRanks(ranks), k, top=-2 * k).ranks
     hat.update({(m2 - 2 * a2, -a2): r for (m2, a2), r in hat.items()
                 if a2 < 0})
@@ -357,26 +378,36 @@ def build_two_step(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     return TwoStepFiltration(gens=gens, maslov2=m2, rows=rows, cols=cols)
 
 
-def two_step_from_levels(levels):
-    """The subcomplex spanned by level complexes, each built over all the
-    ones before it (``below``), as the bottom scan builds them.
+def two_step_from_levels(calc, levels):
+    """The subcomplex spanned by the level complexes of a tail, lowest
+    first, as ``walk_levels`` yields them: every non-empty level up to the
+    last one, so ``build_two_step`` at the last level's alex2.
 
-    The levels are joined in their order, with each level's boundary and
-    its entries into the levels before it, and re-sorted by maslov2
-    (stable) into canonical order.
+    Each level brings its level boundary, and each level after the first
+    its filtered boundary into the levels before it, from one rectangle
+    pass with those levels as the targets (a rectangle with no X inside
+    keeps alex2, so it misses them).  The levels are joined in their
+    order and re-sorted by maslov2 (stable) into canonical order.
     """
-    starts = np.cumsum([0] + [lc.size for lc in levels[:-1]])
+    gens = np.concatenate([lc.gens for lc in levels])
+    rows, cols = [], []
+    start = 0
+    for lc in levels:
+        rows.append(lc.rows + start)
+        cols.append(lc.cols + start)
+        if start:
+            down_rows, down_cols = boundary_entries(
+                calc.rectangles, lc.gens, gens[:start], MODE_FILTERED)
+            rows.append(down_rows)
+            cols.append(down_cols + start)
+        start += lc.size
     m2 = np.concatenate([lc.maslov2 for lc in levels])
-    rows = np.concatenate([part for lc, start in zip(levels, starts)
-                           for part in (lc.rows + start, lc.down_rows)])
-    cols = np.concatenate([part for lc, start in zip(levels, starts)
-                           for part in (lc.cols + start, lc.down_cols + start)])
     order = np.argsort(m2, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    gens = np.concatenate([lc.gens for lc in levels])
     return TwoStepFiltration(gens=gens[order], maslov2=m2[order],
-                             rows=position[rows], cols=position[cols])
+                             rows=position[np.concatenate(rows)],
+                             cols=position[np.concatenate(cols)])
 
 
 def _sub_cycles_by_maslov(filt):

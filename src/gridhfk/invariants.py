@@ -1,24 +1,26 @@
 """Link invariants read off the grid complex.
 
-One scanner serves the extremal groups and τ.  ``scan_bottom`` walks
-the non-empty Alexander levels of a grid upward, as the alex completion
-table lists them, until homology appears.  Each level is built over the
-levels scanned before it, so it comes with its filtered boundary into
-that tail; its ranks read the entries that stay in the level, and its
-signed generator count must equal the signed sum of its ranks (0 for the
-acyclic levels below the bottom), or InconsistentComplex is raised.
-Corollary-style deflation says the last level carries the hat group of
-the lowest Alexander grading shifted by [k - l], so reported gradings
-are corrected by 2(n - l) before anything downstream sees them.  The
-genus is minus the corrected bottom grading.
+One scanner serves the extremal groups and τ.  ``scan_bottom`` hands
+the non-empty Alexander levels of a grid, as the alex completion table
+lists them, to ``homology.walk_levels`` lowest first, and stops at the
+first with homology.  Each level complex holds its level boundary only,
+and its signed generator count must equal the signed sum of its ranks
+(0 for the acyclic levels below the bottom), or InconsistentComplex is
+raised.  Corollary-style deflation says the last level carries the hat
+group of the lowest Alexander grading shifted by [k - l], so reported
+gradings are corrected by 2(n - l) before anything downstream sees
+them.  The genus is minus the corrected bottom grading.
 
 Tau extremality asks whether the inclusion of the bottom filtration
 window, the generators at or below the scan's last level, induces a
 nonzero map on total homology.  That window is the scanned tail, so τ
-runs on the scan's calculator and tail (``BottomScan.tau_extremal``).
-The rank of that map is a sum of non-negative terms, one per Maslov
-slice, so the answer is read off the first positive term, lowest slice
-first, and the slices above it are never listed.
+runs on the scan's calculator and tail (``BottomScan.tau_extremal``):
+``homology.two_step_from_levels`` adds each level's filtered boundary
+into the levels below it, a rectangle pass made only for tails of two
+or more levels, and only when τ runs.  The rank of that map is a sum of
+non-negative terms, one per Maslov slice, so the answer is read off the
+first positive term, lowest slice first, and the slices above it are
+never listed.
 
 The top group is the reflected bottom group of the mirror.  By the
 symmetry HFK_d(a) = HFK_{d-2a}(-a), the top group sits at the genus, a
@@ -49,28 +51,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    GridResourceError,
-    InconsistentComplex,
-    NegativeIndex,
-    NotAKnot,
-)
+from .errors import InconsistentComplex, NegativeIndex, NotAKnot
 from .generators import DEFAULT_MAX_GENERATORS, graded_levels, level_counts
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
 from .gradings import GradingCalculator
 from .grids import count_components, mirror
 from .homology import (
-    build_level_complex,
+    # Unused here, but perfbench's traced run wraps the three names marked
+    # F401 in this module.
+    build_level_complex,  # noqa: F401
     deflate_to_hat,
     homology_ranks,
-    # Unused here, but perfbench's traced run wraps this name in this module.
     induced_map_rank,  # noqa: F401
     induced_map_ranks,
-    level_homology_ranks,
+    level_homology_ranks,  # noqa: F401
     two_step_from_levels,
+    walk_levels,
 )
 from .polynomials import LaurentPoly, divide_exact
 
@@ -108,24 +105,13 @@ class ExtremalGroup:
         return ExtremalGroup(self.alex2, poincare, self.components)
 
 
-def _check_level_euler(lc, ranks):
-    """Raise InconsistentComplex unless the level's signed generator count
-    equals the signed sum of its homology ranks."""
-    count = int((1 - 2 * (lc.maslov2 // 2 % 2)).sum())
-    euler = sum(-r if m2 // 2 % 2 else r for m2, r in ranks.items())
-    if count != euler:
-        raise InconsistentComplex(
-            f"Euler characteristic {euler} at alex2 = {lc.alex2} differs "
-            f"from the signed generator count {count}")
-
-
 @dataclass
 class BottomScan:
     """The lowest non-empty Alexander levels of one grid, up to the first
     with homology.
 
-    ``levels`` are their LevelComplexes in increasing alex2, each built
-    over the ones before it; ``ranks`` are the tilde ranks of the last.
+    ``levels`` are their LevelComplexes in increasing alex2, as
+    ``walk_levels`` yields them; ``ranks`` are the tilde ranks of the last.
     """
 
     calc: GradingCalculator
@@ -149,7 +135,7 @@ class BottomScan:
         complex with a nonzero map on homology: some Maslov slice term of
         ``induced_map_ranks`` is positive, and the slices stop at the first.
         """
-        filt = two_step_from_levels(self.levels)
+        filt = two_step_from_levels(self.calc, self.levels)
         return any(induced_map_ranks(self.calc, filt, max_generators))
 
 
@@ -157,31 +143,25 @@ def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
     """Scan the levels of the grid upward to the first nonzero homology.
 
     Only the levels that hold generators are visited, as the alex
-    completion table lists them (``graded_levels``); termination is
-    guaranteed because the total tilde homology is nonzero.  The scanned
-    tail is kept, and GridResourceError is raised once it holds more
+    completion table lists them (``graded_levels``), one at a time by
+    ``walk_levels``, which checks each level's Euler characteristic;
+    termination is guaranteed because the total tilde homology is
+    nonzero.  The scanned tail is kept, and GridResourceError is raised,
+    before the level that passes it is listed, once it would hold more
     than ``max_generators``.  ``level_sizes``, when given, is a dict that
     receives the number of generators of every scanned level, in
     increasing alex2.
     """
     calc = GradingCalculator(grid)
     levels = []
-    below = np.empty((0, calc.n), dtype=np.int64)
-    for s in graded_levels(calc, "alex"):
-        lc = build_level_complex(calc, s, max_generators, below=below)
+    walk = walk_levels(calc, ((s, None) for s in graded_levels(calc, "alex")),
+                       max_generators)
+    for lc, ranks in walk:
         if level_sizes is not None:
-            level_sizes[s] = lc.size
-        size = len(below) + lc.size
-        if size > max_generators:
-            raise GridResourceError(
-                f"the {size} generators of the levels up to {s} exceed "
-                f"the budget {max_generators}", estimate=size)
-        ranks = level_homology_ranks(lc)
-        _check_level_euler(lc, ranks)
+            level_sizes[lc.alex2] = lc.size
         levels.append(lc)
         if ranks:
             return BottomScan(calc, levels, ranks)
-        below = np.concatenate([below, lc.gens])
     raise InconsistentComplex("no nonzero homology level found")
 
 

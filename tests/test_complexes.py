@@ -488,15 +488,18 @@ def corrupt_top_of_tail(monkeypatch):
 
 
 def test_euler_guard_catches_a_corrupted_rank(monkeypatch):
+    # The top of trefoil5's tail is -8, and the error names that level.
     from gridhfk.errors import InconsistentComplex
     built = corrupt_top_of_tail(monkeypatch)
-    with pytest.raises(InconsistentComplex, match="Euler characteristic"):
+    with pytest.raises(InconsistentComplex,
+                       match=r"Euler characteristic -?\d+ at alex2 = -8 "):
         hat_ranks(load_corpus("trefoil5"))
-    assert built
+    assert built == [-10, -8]
     err = io.StringIO()
     assert run(["compute", "--hat", "corpus:trefoil5"], out=io.StringIO(),
                err=err) == 1
     assert err.getvalue().startswith("InconsistentComplex")
+    assert "at alex2 = -8 " in err.getvalue()
     assert err.getvalue().count("\n") == 1
 
 

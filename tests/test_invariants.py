@@ -12,11 +12,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gridhfk import invariants
+from gridhfk import homology
 from gridhfk.cli import run
-from gridhfk.errors import InconsistentComplex, NotAKnot, NotDivisible
+from gridhfk.errors import (
+    GridResourceError,
+    InconsistentComplex,
+    NotAKnot,
+    NotDivisible,
+)
 from gridhfk.grids import count_components, load_corpus, make_grid, mirror
-from gridhfk.generators import encode_perms
+from gridhfk.generators import encode_perms, graded_levels
+from gridhfk.gradings import GradingCalculator
 from gridhfk.homology import (
     BigradedRanks,
     build_two_step,
@@ -24,6 +30,7 @@ from gridhfk.homology import (
     homology_ranks,
     inflate,
     two_step_from_levels,
+    walk_levels,
 )
 from gridhfk.invariants import (
     ExtremalGroup,
@@ -255,7 +262,7 @@ def test_mirror_scans_of_multi_level_tails_match_the_oracle():
         assert scan.levels[-1].alex2 == cutoff, g
         want = oracle_inclusion_rank(m.x_cols, m.o_cols, cutoff) > 0
         assert tau_top_is_g(g, mirror_scan=scan) == want, g
-        tail = two_step_from_levels(scan.levels)
+        tail = two_step_from_levels(scan.calc, scan.levels)
         assert np.all(np.diff(tail.maslov2) >= 0), g
         assert (_generators_and_edges(tail, g.n) == _generators_and_edges(
             build_two_step(scan.calc, cutoff), g.n)), g
@@ -264,23 +271,76 @@ def test_mirror_scans_of_multi_level_tails_match_the_oracle():
     assert found == 4
 
 
+def test_window_from_levels_is_the_two_step_at_every_cutoff():
+    """τ's window joined from the walked levels up to each level, with the
+    filtered entries of each level into the ones below, is the subcomplex
+    ``build_two_step`` builds at that cutoff."""
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        g = random_grid(rng, int(rng.integers(3, 7)))
+        calc = GradingCalculator(g)
+        levels = []
+        alex = graded_levels(calc, "alex")
+        for lc, _ in walk_levels(calc, ((s, None) for s in alex)):
+            levels.append(lc)
+            window = two_step_from_levels(calc, levels)
+            want = build_two_step(calc, lc.alex2)
+            assert np.all(np.diff(window.maslov2) >= 0), g
+            assert (_generators_and_edges(window, g.n)
+                    == _generators_and_edges(want, g.n)), (g, lc.alex2)
+
+
 def test_scan_checks_each_level_euler_characteristic(monkeypatch):
     """A level whose ranks do not sum, signed, to its signed generator
     count raises InconsistentComplex, which the CLI reports as exit 1."""
-    right = invariants.level_homology_ranks
+    right = homology.level_homology_ranks
 
     def one_too_many(lc):
         ranks = right(lc)
         m2 = int(lc.maslov2[0])
         return {**ranks, m2: ranks.get(m2, 0) + 1}
 
-    monkeypatch.setattr(invariants, "level_homology_ranks", one_too_many)
+    monkeypatch.setattr(homology, "level_homology_ranks", one_too_many)
     with pytest.raises(InconsistentComplex, match="Euler characteristic"):
         bottom_group(corpus("trefoil5"))
     err = io.StringIO()
     assert run(["compute", "--window", "bottom", "corpus:trefoil5"],
                out=io.StringIO(), err=err) == 1
     assert err.getvalue().startswith("InconsistentComplex")
+
+
+def test_scan_refuses_the_level_over_budget_before_its_boundary(monkeypatch):
+    """The levels -12 (18 states) and -10 (378) of this 7-grid pass a
+    budget of 395: -10 is refused while it is enumerated, so only -12
+    gets a boundary pass, and the error names the tail and the budget."""
+    g = make_grid([6, 5, 1, 0, 2, 4, 3], [5, 2, 4, 1, 3, 0, 6])
+    right = homology.boundary_entries
+    sources = []
+
+    def counted(counter, srcs, targets, mode):
+        sources.append(len(srcs))
+        return right(counter, srcs, targets, mode)
+
+    monkeypatch.setattr(homology, "boundary_entries", counted)
+    sizes = {}
+    scan_bottom(g, max_generators=396, level_sizes=sizes)
+    assert list(sizes.items())[:2] == [(-12, 18), (-10, 378)]
+    sources.clear()
+    with pytest.raises(GridResourceError,
+                       match="levels up to -10 hold at least 396 generators, "
+                             "over the budget 395$"):
+        scan_bottom(g, max_generators=395)
+    assert sources == [18]
+    # Through the CLI, on knot_5_2_7 (minimal), whose scan stops at its
+    # first level, -14, of 4 states: a budget of 3 refuses that level.
+    sources.clear()
+    err = io.StringIO()
+    assert run(["--max-generators", "3", "compute", "--window", "bottom",
+                "corpus:knot_5_2_7"], out=io.StringIO(), err=err) == 3
+    assert err.getvalue().startswith("GridResourceError")
+    assert ("levels up to -14 hold at least 4 generators, over the budget 3"
+            in err.getvalue())
+    assert sources == []
 
 
 def test_extremal_predicates():

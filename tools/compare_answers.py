@@ -14,6 +14,12 @@ its tree's ``src/``.  The set:
     completion tables two words wide);
   * ``compute`` (full, ``--hat`` and ``--window bottom``) on every
     corpus grid of size at most 7;
+  * ``compute`` (full and ``--hat``) on two connected sums whose tails
+    span three levels: trefoil5#trefoil5 (8 after simplification, tail
+    7 + 93 + 764 states) and knot_5_2_7#trefoil5 (10, tail
+    10 + 283 + 3 888).  This checkout's ``connected_sum`` writes their
+    grid files once into a temporary directory, and both trees read
+    those files;
   * the two ``cable --compare`` commands of the unknot's (2, +-3) cables.
 
 Command by command, it compares the exit code, standard error (with the
@@ -30,6 +36,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +52,8 @@ SUMS = [("trefoil5", "unknot3"), ("hopf_plus4", "hopf_minus4"),
         ("trefoil5", "trefoil6"), ("knot_5_2_7", "trefoil5"),
         ("figure_eight6", "trefoil5")]
 
+COMPUTE_SUMS = [("trefoil5", "trefoil5"), ("knot_5_2_7", "trefoil5")]
+
 CABLES = [("3", "trefoil5"), ("-3", "trefoil_left5")]
 
 MAX_COMPUTE_N = 7
@@ -52,14 +61,17 @@ MAX_COMPUTE_N = 7
 COMPARED = ("code", "stderr", "results", "generator_counts", "grid_sizes")
 
 
-def command_set(corpus_sizes):
-    """The argument lists, given {corpus grid name: n}."""
+def command_set(corpus_sizes, sum_paths):
+    """The argument lists, given {corpus grid name: n} and the grid files
+    of COMPUTE_SUMS."""
     commands = [["murasugi", f"corpus:{case}"] for case in CASES]
     commands += [["murasugi", "--connect", a, b] for a, b in SUMS]
     for name, n in sorted(corpus_sizes.items()):
         if n <= MAX_COMPUTE_N:
             commands += [["compute", name], ["compute", "--hat", name],
                          ["compute", "--window", "bottom", name]]
+    for path in sum_paths:
+        commands += [["compute", path], ["compute", "--hat", path]]
     commands += [["cable", "unknot3", "--p", "2", "--q", q, "--compare", knot]
                  for q, knot in CABLES]
     return commands
@@ -74,7 +86,24 @@ def _without_wall_times(value):
     return value
 
 
-def emit(tree):
+def write_sums(directory):
+    """Write the grids of COMPUTE_SUMS, spliced by this checkout's
+    ``connected_sum`` from its corpus, into ``directory``; their paths."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from gridhfk.grids import connected_sum, format_grid, load_grid
+
+    corpus = ROOT / "src" / "gridhfk" / "corpus"
+    paths = []
+    for a, b in COMPUTE_SUMS:
+        grid = connected_sum(load_grid(corpus / f"{a}.grid"),
+                             load_grid(corpus / f"{b}.grid"))
+        path = Path(directory) / f"{a}#{b}.grid"
+        path.write_text(format_grid(grid), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def emit(tree, sum_paths):
     """Run the command set with ``tree``'s package; print the answers."""
     sys.path.insert(0, str(tree / "src"))
     from gridhfk import cli
@@ -82,7 +111,7 @@ def emit(tree):
 
     sizes = {name: load_corpus(name).n for name in list_corpus()}
     answers = []
-    for argv in command_set(sizes):
+    for argv in command_set(sizes, sum_paths):
         out, err = io.StringIO(), io.StringIO()
         code = cli.run(["--json", *argv], out, err)
         report = json.loads(out.getvalue()) if out.getvalue() else {}
@@ -97,11 +126,11 @@ def emit(tree):
     json.dump(answers, sys.stdout)
 
 
-def _start(tree):
+def _start(tree, sum_paths):
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "HFK_CORPUS")}
     return subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
-                             "--emit", str(tree)],
+                             "--emit", str(tree), *sum_paths],
                             env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
 
@@ -120,8 +149,8 @@ def first_difference(mine, theirs):
 
 
 def main(argv):
-    if len(argv) == 2 and argv[0] == "--emit":
-        emit(Path(argv[1]))
+    if len(argv) >= 2 and argv[0] == "--emit":
+        emit(Path(argv[1]), argv[2:])
         return 0
     if len(argv) != 1:
         print("usage: compare_answers.py OTHER_CHECKOUT", file=sys.stderr)
@@ -130,8 +159,10 @@ def main(argv):
     if not (other / "src" / "gridhfk").is_dir():
         print(f"{other} has no src/gridhfk", file=sys.stderr)
         return 2
-    runs = [_start(ROOT), _start(other)]
-    done = [run.communicate() for run in runs]
+    with tempfile.TemporaryDirectory() as directory:
+        sum_paths = write_sums(directory)
+        runs = [_start(ROOT, sum_paths), _start(other, sum_paths)]
+        done = [run.communicate() for run in runs]
     for tree, run, (_, err) in zip((ROOT, other), runs, done):
         if run.returncode != 0:
             print(f"the command set failed in {tree}:\n{err}", file=sys.stderr)

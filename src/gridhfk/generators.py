@@ -26,8 +26,11 @@ is entered and an empty level costs one table lookup.
 ``graded_levels`` reads the attained values off the same table.
 
 ``level_counts`` gives the size and the signed count (the Euler
-characteristic) of every level from a DP over (column, used-row mask),
-in about n 2^n steps per level and without listing a generator.
+characteristic) of every level without listing a generator, by the
+same pull from the full mask down over the same ``_column_moves``:
+each mask carries its completions' counts per sign parity, indexed by
+the halved Alexander offsets of the alex table, and a column is one
+gather and one sum (in fixed-size passes over parents), n steps in all.
 
 Every enumeration routine takes a generator budget and raises
 GridResourceError once it would list more than that many rows: graded
@@ -46,6 +49,9 @@ import numpy as np
 from .errors import GridResourceError
 
 DEFAULT_MAX_GENERATORS = 100_000_000
+
+# Parent masks per pass of ``level_counts``.
+_PASS = 1 << 10
 
 
 def enumerate_all(grid, max_generators=DEFAULT_MAX_GENERATORS):
@@ -228,53 +234,59 @@ def level_counts(calc):
     """{alex2: (count, euler)} for every non-empty level, in increasing alex2.
 
     ``euler`` is the signed count sum (-1)^(maslov2/2) over the level.
-    A DP over (column, used-row mask) builds the permutations column by
-    column without listing them: the masks with c bits set are the
-    partial permutations of columns 0..c-1, each carrying one count and
-    one signed count per partial alex2.  Placing row r in column c adds
-    fa[c][r] to alex2 and flips the sign by the parity of the new
-    increasing pairs (rows of the mask below r) plus fm[c][r] / 2.
-    The work is about n 2^n times the number of levels, the memory two
-    popcount layers of masks.  The counts are int64, which holds n! up
-    to n = 20; larger grids raise GridResourceError.
+    A pull DP from the full mask down, like the completion tables and
+    over the same ``_column_moves``: each mask holds, per relative
+    value j of the alex completion table (alex2 = floor + 2 j), the
+    number of completions of its free rows whose sign flips an even and
+    an odd number of times.  A mask with c bits sums its children's
+    rows, each shifted right by shift[c][r] and with the two parities
+    swapped when the move flips the sign: when fm[c][r] / 2 plus the
+    mask's rows below r (the new increasing pairs) is odd.  One column
+    is one gather and one sum, in passes of ``_PASS`` parents; the work
+    is about n 2^n width additions, the memory two popcount layers of
+    masks.  The counts are int64, which holds n! up to n = 20; larger
+    grids raise GridResourceError before anything is allocated.
     """
     n = calc.n
     if n > 20:
         raise GridResourceError(f"level counts of {n}! generators overflow int64",
                                 estimate=math.factorial(n))
-    fa = calc.fa
-    half_fm = calc.fm // 2
-    lo = fa.min(axis=1)
-    width = int((fa.max(axis=1) - lo).sum()) + 1
-    masks = np.arange(1 << n, dtype=np.int64)
-    popcount = np.bitwise_count(masks)
-    position = np.zeros(1 << n, dtype=np.int64)
-    layers = []
-    for c in range(n + 1):
-        layer = masks[popcount == c]
-        position[layer] = np.arange(len(layer))
-        layers.append(layer)
-    count = np.zeros((1, width), dtype=np.int64)
-    euler = np.zeros((1, width), dtype=np.int64)
-    count[0, 0] = euler[0, 0] = 1
-    for c in range(n):
-        layer = layers[c]
-        next_count = np.zeros((len(layers[c + 1]), width), dtype=np.int64)
-        next_euler = np.zeros_like(next_count)
-        for r in range(n):
-            free = (layer >> r & 1) == 0
-            src = layer[free]
-            dst = position[src | 1 << r]
-            shift = int(fa[c][r] - lo[c])
-            flips = np.bitwise_count(src & ((1 << r) - 1)) + half_fm[c][r]
-            signs = 1 - 2 * (flips & 1)
-            next_count[dst, shift:] += count[free, :width - shift]
-            next_euler[dst, shift:] += signs[:, None] * euler[free, :width - shift]
-        count, euler = next_count, next_euler
+    lo = calc.fa.min(axis=1)
+    shift = (calc.fa - lo[:, None]) // 2
+    width = int(shift.max(axis=1).sum()) + 1
+    # A mask's row is [pad | even (width) | pad | odd (width)]: a window
+    # shifted right reads zeros from the pad in front of it.
+    pad = int(shift.max())
+    half = pad + width
+    # start[c, r, k, s]: where, in its child's row, the window of the
+    # parent's slot s (0 even, 1 odd) starts for the move placing row r
+    # in column c above k rows of the mask.
+    flips = (calc.fm // 2)[:, :, None, None] + np.arange(n)[:, None] + np.arange(2)
+    start = (pad - shift)[:, :, None, None] + half * (flips & 1)
+    moves = _column_moves(n)
+    # Where each mask's row begins in the flat array of its layer.
+    offset = np.empty(1 << n, dtype=np.int64)
+    for layer, *_ in moves:
+        offset[layer] = np.arange(0, 2 * half * len(layer), 2 * half)
+    offset[-1] = 0  # the full mask, alone in its layer
+    counts = np.zeros(2 * half, dtype=np.int64)
+    counts[pad] = 1
+    for c in range(n - 1, -1, -1):
+        layer, child, row, below = moves[c]
+        windows = np.ndarray((len(counts) - width + 1, width), dtype=np.int64,
+                             buffer=counts, strides=(8, 8))
+        out = np.zeros((len(layer), 2, half), dtype=np.int64)
+        for p in range(0, len(layer), _PASS):
+            at = (offset[child[p:p + _PASS]][:, :, None]
+                  + start[c][row[p:p + _PASS], below[p:p + _PASS]])
+            out[p:p + _PASS, :, pad:] = windows[at].sum(axis=1)
+        counts = out.ravel()
+    even, odd = counts[pad:half], counts[half + pad:]
+    total = even + odd
     sign = -1 if calc.maslov_const // 2 % 2 else 1
     floor = calc.level_floor()
-    return {floor + i: (int(count[0, i]), sign * int(euler[0, i]))
-            for i in np.flatnonzero(count[0]).tolist()}
+    return {floor + 2 * i: (int(total[i]), sign * int(even[i] - odd[i]))
+            for i in np.flatnonzero(total).tolist()}
 
 
 def generators_in_level(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS):

@@ -9,7 +9,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from gridhfk import homology
+from gridhfk import generators, homology
 from gridhfk.cli import run
 from gridhfk.errors import GridResourceError
 from gridhfk.generators import (
@@ -465,6 +465,47 @@ def test_level_counts_are_the_oracle_counts_and_signed_sums():
         want = {a2: (counts[a2], euler[a2]) for a2 in sorted(counts)}
         got = level_counts(GradingCalculator(g))
         assert list(got.items()) == list(want.items()), g
+
+
+def _enumerated_levels(calc):
+    """{alex2: (count, euler)} from listing every level's generators."""
+    levels = {}
+    for a2 in graded_levels(calc, "alex"):
+        gens = generators_in_level(calc, a2)
+        signs = 1 - 2 * (calc.maslov2_batch(gens) // 2 % 2)
+        levels[a2] = (len(gens), int(signs.sum()))
+    return levels
+
+
+def test_level_counts_match_the_enumeration_past_the_oracle(monkeypatch):
+    """Seeded knots and links of size 8-10: the levels are those of the
+    completion table in order, and each level's count and signed count
+    are those of its listed generators, also when every layer of masks
+    splits into uneven passes of five parents."""
+    rng = np.random.default_rng(52)
+    links = 0
+    for n in (8, 8, 9, 9, 10):
+        calc = GradingCalculator(random_grid(rng, n))
+        links += calc.components > 1
+        got = level_counts(calc)
+        assert list(got) == graded_levels(calc, "alex")
+        assert got == _enumerated_levels(calc), calc.n
+        if n == 9:
+            with monkeypatch.context() as patch:
+                patch.setattr(generators, "_PASS", 5)
+                assert list(level_counts(calc).items()) == list(got.items())
+    assert links >= 2
+
+
+def test_level_counts_refuse_n_21_before_building_moves():
+    rng = np.random.default_rng(53)
+    calc = GradingCalculator(random_grid(rng, 21))
+    before = generators._column_moves.cache_info()
+    with pytest.raises(GridResourceError) as raised:
+        level_counts(calc)
+    assert raised.value.estimate == factorial(21)
+    after = generators._column_moves.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def corrupt_top_of_tail(monkeypatch):

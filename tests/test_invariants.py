@@ -20,7 +20,13 @@ from gridhfk.errors import (
     NotAKnot,
     NotDivisible,
 )
-from gridhfk.grids import count_components, load_corpus, make_grid, mirror
+from gridhfk.grids import (
+    connected_sum,
+    count_components,
+    load_corpus,
+    make_grid,
+    mirror,
+)
 from gridhfk.generators import encode_perms, graded_levels
 from gridhfk.gradings import GradingCalculator
 from gridhfk.homology import (
@@ -387,6 +393,19 @@ def test_alexander_is_symmetric_and_one_at_one():
         poly = alexander_polynomial(corpus(name))
         assert poly.is_symmetric(), name
         assert poly.eval_one() == 1, name
+
+
+@pytest.mark.parametrize("a, b", [("trefoil5", "trefoil6"),
+                                  ("torus_2_5_7", "trefoil5"),
+                                  ("knot_5_2_7", "trefoil5")])
+def test_alexander_polynomial_multiplies_under_connected_sum(a, b):
+    """Unsimplified sums of size 10 and 11, past the oracle's reach: the
+    signed level counts of the summed grid give the product of the
+    summands' polynomials."""
+    summed = connected_sum(corpus(a), corpus(b))
+    assert summed.n in (10, 11)
+    got = alexander_polynomial(summed)
+    assert got == LaurentPoly(ALEXANDER[a]) * LaurentPoly(ALEXANDER[b]), got.coeffs
 
 
 def test_state_sum_requires_a_knot():

@@ -17,9 +17,10 @@ its tree's ``src/``.  The set:
   * ``compute`` (full and ``--hat``) on two connected sums whose tails
     span three levels: trefoil5#trefoil5 (8 after simplification, tail
     7 + 93 + 764 states) and knot_5_2_7#trefoil5 (10, tail
-    10 + 283 + 3 888).  This checkout's ``connected_sum`` writes their
-    grid files once into a temporary directory, and both trees read
-    those files;
+    10 + 283 + 3 888), and on the two-component link
+    hopf_plus4#trefoil5 (7 after simplification, ten levels).  This
+    checkout's ``connected_sum`` writes their grid files once into a
+    temporary directory, and both trees read those files;
   * the two ``cable --compare`` commands of the unknot's (2, +-3) cables.
 
 Command by command, it compares the exit code, standard error (with the
@@ -52,7 +53,8 @@ SUMS = [("trefoil5", "unknot3"), ("hopf_plus4", "hopf_minus4"),
         ("trefoil5", "trefoil6"), ("knot_5_2_7", "trefoil5"),
         ("figure_eight6", "trefoil5")]
 
-COMPUTE_SUMS = [("trefoil5", "trefoil5"), ("knot_5_2_7", "trefoil5")]
+COMPUTE_SUMS = [("trefoil5", "trefoil5"), ("knot_5_2_7", "trefoil5"),
+                ("hopf_plus4", "trefoil5")]
 
 CABLES = [("3", "trefoil5"), ("-3", "trefoil_left5")]
 

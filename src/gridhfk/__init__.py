@@ -4,143 +4,36 @@ Compute the bigraded homology of the tilde complex of a grid diagram,
 extract extremal (bottom/top) groups, genus, and tau-extremality flags,
 verify the two Murasugi-sum theorems on curated cases, and run the
 multiplicative polynomial ledger.
+
+The package root holds no names but ``__version__``; import each entry
+point from its module:
+
+  * ``grids``: ``GridDiagram``, ``make_grid``, ``parse_grid``,
+    ``load_grid``, ``format_grid``, ``mirror``, ``connected_sum``,
+    ``simplify``, ``count_components``, and the bundled corpus
+    (``load_corpus``, ``list_corpus``, ``corpus_path``,
+    ``corpus_case_path``);
+  * ``invariants``: ``hat_ranks``, ``bottom_group``, ``top_group``,
+    ``scan_bottom``, ``genus2``, ``tau_top_is_g``,
+    ``tau_bot_is_minus_g`` and ``alexander_polynomial``;
+  * ``homology``: ``homology_ranks`` (the tilde table),
+    ``build_level_complex``, ``deflate_to_hat``, ``inflate`` and
+    ``induced_map_rank``;
+  * ``murasugi``: ``load_case``, ``make_connected_sum_case``,
+    ``mirror_scans``, ``verify_theorem1``, ``verify_theorem2`` and
+    ``cable_top_group_predict``;
+  * ``ledger``: ``Ledger``, ``LedgerEntry``, ``load_ledger``,
+    ``save_ledger``, ``seed_entries``, ``entry_from_grid``, ``p_image``
+    and the certificates ``independent_by_coprimality``,
+    ``cor6_obstruction`` and ``b1_sum_check``;
+  * ``polynomials``: ``LaurentPoly``;
+  * ``errors``: ``GridInputError``, ``GridResourceError`` and the other
+    exception types;
+  * ``generators`` (``level_counts``, ``generators_in_level``),
+    ``gradings`` (``GradingCalculator``), ``rectangles``
+    (``boundary_entries``) and ``gf2`` (``matrix_rank``): the layers
+    beneath;
+  * ``cli``: ``run``, the ``gridhfk`` command.
 """
 
-from .errors import (
-    GridHfkError,
-    GridInputError,
-    GridResourceError,
-    InconsistentComplex,
-    IndexMismatch,
-    MarkingCollision,
-    NegativeIndex,
-    NotAKnot,
-    NotAPermutation,
-    NotDivisible,
-    SizeMismatch,
-    UnsupportedQ,
-)
-from .grids import (
-    GridDiagram,
-    connected_sum,
-    corpus_case_path,
-    corpus_path,
-    count_components,
-    list_corpus,
-    load_corpus,
-    load_grid,
-    make_grid,
-    mirror,
-    parse_grid,
-    simplify,
-)
-from .homology import (
-    BigradedRanks,
-    build_level_complex,
-    deflate_to_hat,
-    homology_ranks,
-    induced_map_rank,
-    inflate,
-)
-from .invariants import (
-    BottomScan,
-    ExtremalGroup,
-    alexander_polynomial,
-    bottom_group,
-    genus2,
-    hat_ranks,
-    is_extremal_rank_one,
-    is_extremal_thin,
-    scan_bottom,
-    tau_bot_is_minus_g,
-    tau_top_is_g,
-    top_group,
-)
-from .ledger import (
-    Ledger,
-    LedgerEntry,
-    PoincareFraction,
-    b1_sum_check,
-    cor6_obstruction,
-    entry_from_grid,
-    independent_by_coprimality,
-    p_image,
-)
-from .murasugi import (
-    CaseSide,
-    MurasugiCase,
-    VerificationReport,
-    cable_top_group_predict,
-    load_case,
-    make_connected_sum_case,
-    mirror_scans,
-    surface_index,
-    verify_theorem1,
-    verify_theorem2,
-)
-from .polynomials import LaurentPoly
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BigradedRanks",
-    "BottomScan",
-    "CaseSide",
-    "ExtremalGroup",
-    "GridDiagram",
-    "GridHfkError",
-    "GridInputError",
-    "GridResourceError",
-    "InconsistentComplex",
-    "IndexMismatch",
-    "Ledger",
-    "LedgerEntry",
-    "LaurentPoly",
-    "MarkingCollision",
-    "MurasugiCase",
-    "NegativeIndex",
-    "NotAKnot",
-    "NotAPermutation",
-    "NotDivisible",
-    "PoincareFraction",
-    "SizeMismatch",
-    "UnsupportedQ",
-    "VerificationReport",
-    "alexander_polynomial",
-    "b1_sum_check",
-    "bottom_group",
-    "build_level_complex",
-    "cable_top_group_predict",
-    "connected_sum",
-    "cor6_obstruction",
-    "corpus_case_path",
-    "corpus_path",
-    "count_components",
-    "deflate_to_hat",
-    "entry_from_grid",
-    "genus2",
-    "hat_ranks",
-    "homology_ranks",
-    "independent_by_coprimality",
-    "induced_map_rank",
-    "inflate",
-    "is_extremal_rank_one",
-    "is_extremal_thin",
-    "list_corpus",
-    "load_case",
-    "load_corpus",
-    "load_grid",
-    "make_connected_sum_case",
-    "make_grid",
-    "mirror",
-    "mirror_scans",
-    "p_image",
-    "parse_grid",
-    "scan_bottom",
-    "surface_index",
-    "tau_bot_is_minus_g",
-    "tau_top_is_g",
-    "top_group",
-    "verify_theorem1",
-    "verify_theorem2",
-]

@@ -130,11 +130,22 @@ def _resolve_input(path_str: str, corpus_file=corpus_path) -> Path:
     return path
 
 
-def _working(grid, label: str, sizes: dict):
+def _working(grid, label: str, report: RunReport):
     """The simplified grid a command computes on; records both sizes."""
     small = simplify(grid)
-    sizes[label] = [grid.n, small.n]
+    report.grid_sizes[label] = [grid.n, small.n]
     return small
+
+
+def _grid_input(ref: str, label: str, report: RunReport):
+    """The working grid of a grid reference, and the file it resolved to.
+
+    The file's digest goes to ``report.inputs[label]`` and both grid
+    sizes to ``report.grid_sizes[label]``.
+    """
+    path = _resolve_input(ref)
+    report.inputs[label] = _digest(path)
+    return _working(load_grid(path), label, report), path
 
 
 def _ranks_to_json(ranks: dict) -> list:
@@ -151,12 +162,8 @@ def _print_rank_table(ranks: dict, out) -> None:
 # compute
 
 
-def cmd_compute(args, out) -> tuple[int, RunReport]:
-    path = _resolve_input(args.path)
-    grid = load_grid(path)
-    report = RunReport(command=_echo(args), inputs={"grid": _digest(path)})
-    start = time.perf_counter()
-    grid = _working(grid, "grid", report.grid_sizes)
+def cmd_compute(args, report, out) -> int:
+    grid, _ = _grid_input(args.path, "grid", report)
 
     if args.window == "bottom":
         # counts only the tilde levels the extremal scan visited
@@ -192,29 +199,23 @@ def cmd_compute(args, out) -> tuple[int, RunReport]:
             if window == "full":
                 print(f"total rank {ranks.total_rank()} over "
                       f"{len(ranks.alex_levels())} Alexander levels", file=out)
-
-    report.wall_time = round(time.perf_counter() - start, 3)
-    return 0, report
+    return 0
 
 
 # --------------------------------------------------------------------------
 # murasugi
 
 
-def _working_side(side: CaseSide, label: str, sizes: dict) -> CaseSide:
-    return dataclasses.replace(side, grid=_working(side.grid, label, sizes))
+def _working_side(side: CaseSide, label: str, report: RunReport) -> CaseSide:
+    return dataclasses.replace(side, grid=_working(side.grid, label, report))
 
 
-def cmd_murasugi(args, out) -> tuple[int, RunReport]:
-    start = time.perf_counter()
-    sizes = {}
+def cmd_murasugi(args, report, out) -> int:
     if args.connect and args.case:
         raise GridInputError("murasugi takes a case file or --connect, not both")
     if args.connect:
-        path_a = _resolve_input(args.connect[0])
-        path_b = _resolve_input(args.connect[1])
-        ga = _working(load_grid(path_a), "summand1", sizes)
-        gb = _working(load_grid(path_b), "summand2", sizes)
+        ga, path_a = _grid_input(args.connect[0], "summand1", report)
+        gb, path_b = _grid_input(args.connect[1], "summand2", report)
         # Each summand declares its doubled genus, read off the scan of
         # its mirror (a link and its mirror share the genus), which both
         # theorem checks then reuse.
@@ -225,24 +226,22 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         case = make_connected_sum_case(
             f"{path_a.stem}#{path_b.stem}", side_a, side_b)
         case = dataclasses.replace(case, total=_working_side(
-            case.total, "sum", sizes))
+            case.total, "sum", report))
         scans.append(checked_mirror_scan(case.total, "sum",
                                          args.max_generators))
         expect = {}
-        inputs = {"summand1": _digest(path_a), "summand2": _digest(path_b)}
     else:
         if not args.case:
             raise GridInputError("murasugi needs a case file or --connect")
         path = _resolve_input(args.case, corpus_case_path)
         case, expect = load_case(path)
+        report.inputs["case"] = _digest(path)
         case = dataclasses.replace(
-            case, summand1=_working_side(case.summand1, "summand1", sizes),
-            summand2=_working_side(case.summand2, "summand2", sizes),
-            total=_working_side(case.total, "sum", sizes))
-        inputs = {"case": _digest(path)}
+            case, summand1=_working_side(case.summand1, "summand1", report),
+            summand2=_working_side(case.summand2, "summand2", report),
+            total=_working_side(case.total, "sum", report))
         scans = mirror_scans(case, args.max_generators)
 
-    report = RunReport(command=_echo(args), inputs=inputs, grid_sizes=sizes)
     r1 = verify_theorem1(case, scans)
     r2 = verify_theorem2(case, scans, args.max_generators)
     report.results = {
@@ -251,26 +250,22 @@ def cmd_murasugi(args, out) -> tuple[int, RunReport]:
         "theorem2": r2.to_json(),
         "expected": expect,
     }
-    report.wall_time = round(time.perf_counter() - start, 3)
     if not args.json:
         for label, rep in (("extremal multiplicativity", r1),
                            ("tau extremality", r2)):
             verdict = "pass" if rep.passed else "FAIL"
             print(f"{case.name}: {label}: {verdict} "
                   f"({rep.wall_time:.2f}s)", file=out)
-    code = 0 if (r1.passed and r2.passed) else 1
-    return code, report
+    return 0 if (r1.passed and r2.passed) else 1
 
 
 # --------------------------------------------------------------------------
 # ledger
 
 
-def cmd_ledger(args, out) -> tuple[int, RunReport]:
-    start = time.perf_counter()
+def cmd_ledger(args, report, out) -> int:
     ledger_path = Path(args.file)
     ledger = load_ledger(ledger_path)
-    report = RunReport(command=_echo(args))
     if ledger_path.exists():
         report.inputs["ledger"] = _digest(ledger_path)
     code = 0
@@ -289,15 +284,15 @@ def cmd_ledger(args, out) -> tuple[int, RunReport]:
 
     elif sub == "add":
         if args.grid:
-            path = _resolve_input(args.grid)
-            grid = _working(load_grid(path), "grid", report.grid_sizes)
+            grid, path = _grid_input(args.grid, "grid", report)
             entry = entry_from_grid(args.name, grid, str(path),
                                     args.max_generators)
         else:
             if args.poincare is None or args.b1 is None:
                 raise GridInputError(
                     "ledger add needs --grid, or --poincare with --b1")
-            poly = LaurentPoly.from_json(json.loads(args.poincare))
+            poly = LaurentPoly.from_json(json.loads(args.poincare),
+                                         "--poincare")
             entry = LedgerEntry(args.name, poly, args.b1, "literature")
         ledger.add(entry)
         save_ledger(ledger, ledger_path)
@@ -359,23 +354,17 @@ def cmd_ledger(args, out) -> tuple[int, RunReport]:
             for e in ledger.entries.values():
                 print(f"{e.name:16s} P = {e.top_poincare.format('t'):16s} "
                       f"b1 = {e.b1_min:2d}  [{e.source}]", file=out)
-
-    report.wall_time = round(time.perf_counter() - start, 3)
-    return code, report
+    return code
 
 
 # --------------------------------------------------------------------------
 # cable
 
 
-def cmd_cable(args, out) -> tuple[int, RunReport]:
-    start = time.perf_counter()
-    path = _resolve_input(args.path)
-    grid = load_grid(path)
+def cmd_cable(args, report, out) -> int:
+    grid, _ = _grid_input(args.path, "knot", report)
     if count_components(grid) != 1:
         raise GridInputError("cable prediction needs a knot (one component)")
-    report = RunReport(command=_echo(args), inputs={"knot": _digest(path)})
-    grid = _working(grid, "knot", report.grid_sizes)
 
     ktop = top_group(grid, max_generators=args.max_generators)
     g2 = ktop.alex2  # the top group of a knot sits at its genus
@@ -397,9 +386,7 @@ def cmd_cable(args, out) -> tuple[int, RunReport]:
 
     code = 0
     if args.compare:
-        cpath = _resolve_input(args.compare)
-        cgrid = _working(load_grid(cpath), "comparison", report.grid_sizes)
-        report.inputs["comparison"] = _digest(cpath)
+        cgrid, _ = _grid_input(args.compare, "comparison", report)
         ctop = top_group(cgrid, max_generators=args.max_generators)
         match = (ctop.alex2, ctop.poincare) == (alex2, poly)
         report.results["comparison"] = {
@@ -411,17 +398,11 @@ def cmd_cable(args, out) -> tuple[int, RunReport]:
                   f"poincare {ctop.poincare.format('m')} -> "
                   f"{'match' if match else 'MISMATCH'}", file=out)
         code = 0 if match else 1
-
-    report.wall_time = round(time.perf_counter() - start, 3)
-    return code, report
+    return code
 
 
 # --------------------------------------------------------------------------
 # plumbing
-
-
-def _echo(args) -> list:
-    return list(getattr(args, "_argv", []))
 
 
 def _common_options(parser, suppress=False):
@@ -512,11 +493,14 @@ COMMANDS = {
 
 
 def run(argv, out=sys.stdout, err=sys.stderr) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv)
+    """Parse ``argv``, run its command on a fresh RunReport, and print the
+    report with ``--json``; returns the exit code.  ``wall_time`` runs
+    from the end of argument parsing to the command's return."""
+    args = build_parser().parse_args(argv)
+    report = RunReport(command=list(argv))
+    start = time.perf_counter()
     try:
-        code, report = COMMANDS[args.cmd](args, out)
+        code = COMMANDS[args.cmd](args, report, out)
     except GridResourceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return 3
@@ -533,6 +517,7 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
             ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return 2
+    report.wall_time = round(time.perf_counter() - start, 3)
     if args.json:
         print(json.dumps(report.to_json(), indent=2), file=out)
     return code

@@ -3,7 +3,9 @@
 Input problems (bad marking data, malformed files, wrong link class)
 derive from GridInputError so the CLI can map them to one exit code;
 GridResourceError marks aborted oversized runs, and the remaining
-types flag internal consistency failures.
+types flag internal consistency failures.  ``json_field`` is the one
+type check of a field read from a JSON input (case files, ledger
+files, ``--poincare``).
 """
 
 from __future__ import annotations
@@ -59,3 +61,17 @@ class InconsistentComplex(GridHfkError):
 
 class NotDivisible(GridHfkError):
     """Bigraded ranks are not divisible by the required tensor factor."""
+
+
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean",
+          dict: "a JSON object"}
+
+
+def json_field(obj: dict, key: str, kind: type, label: str, default=None):
+    """obj[key] (or ``default``), which must be of ``kind``; bool is not
+    taken for int.  Otherwise GridInputError names ``label`` and ``key``."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise GridInputError(f"{label}: '{key}' must be {_KINDS[kind]}, "
+                             f"got {value!r}")
+    return value

@@ -139,7 +139,7 @@ class BottomScan:
         return any(induced_map_ranks(self.calc, filt, max_generators))
 
 
-def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
+def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS):
     """Scan the levels of the grid upward to the first nonzero homology.
 
     Only the levels that hold generators are visited, as the alex
@@ -148,17 +148,13 @@ def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
     termination is guaranteed because the total tilde homology is
     nonzero.  The scanned tail is kept, and GridResourceError is raised,
     before the level that passes it is listed, once it would hold more
-    than ``max_generators``.  ``level_sizes``, when given, is a dict that
-    receives the number of generators of every scanned level, in
-    increasing alex2.
+    than ``max_generators``.
     """
     calc = GradingCalculator(grid)
     levels = []
     walk = walk_levels(calc, ((s, None) for s in graded_levels(calc, "alex")),
                        max_generators)
     for lc, ranks in walk:
-        if level_sizes is not None:
-            level_sizes[lc.alex2] = lc.size
         levels.append(lc)
         if ranks:
             return BottomScan(calc, levels, ranks)
@@ -169,9 +165,13 @@ def bottom_group(grid, max_generators=DEFAULT_MAX_GENERATORS,
                  level_sizes=None):
     """The hat group at the lowest Alexander grading, from ``scan_bottom``.
 
-    ``level_sizes`` is handed to ``scan_bottom``.
+    ``level_sizes``, when given, is a dict that receives the number of
+    generators of every scanned level, in increasing alex2.
     """
-    return scan_bottom(grid, max_generators, level_sizes).group
+    scan = scan_bottom(grid, max_generators)
+    if level_sizes is not None:
+        level_sizes.update((lc.alex2, lc.size) for lc in scan.levels)
+    return scan.group
 
 
 def top_group(grid, max_generators=DEFAULT_MAX_GENERATORS):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import GridInputError
+from .errors import GridInputError, json_field
 from .generators import DEFAULT_MAX_GENERATORS
 from .polynomials import LaurentPoly, divide_exact, gcd_z
 
@@ -136,9 +136,13 @@ class LedgerEntry:
         if not isinstance(data, dict):
             raise GridInputError(f"a ledger entry must be a JSON object, "
                                  f"not {type(data).__name__}")
-        return cls(data["name"], LaurentPoly.from_json(data["top_poincare"]),
-                   int(data["b1_min"]), data.get("source", "computed"),
-                   data.get("grid", ""))
+        name = json_field(data, "name", str, "ledger entry")
+        label = f"ledger entry {name!r}"
+        return cls(name, LaurentPoly.from_json(data.get("top_poincare"),
+                                               f"{label}: 'top_poincare'"),
+                   json_field(data, "b1_min", int, label),
+                   data.get("source", "computed"),
+                   json_field(data, "grid", str, label, ""))
 
 
 def p_image(signed_entries) -> PoincareFraction:

@@ -35,7 +35,13 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import GridInputError, IndexMismatch, NegativeIndex, UnsupportedQ
+from .errors import (
+    GridInputError,
+    IndexMismatch,
+    NegativeIndex,
+    UnsupportedQ,
+    json_field,
+)
 from .generators import DEFAULT_MAX_GENERATORS
 from .grids import (
     GridDiagram,
@@ -258,35 +264,19 @@ def _resolve_grid(ref: str, base: Path) -> GridDiagram:
     return load_grid(base / ref)
 
 
-_KINDS = {int: "an integer", str: "a string", bool: "a boolean",
-          dict: "a JSON object"}
-
-
-def _field(obj: dict, key: str, kind: type, label: str, default=None):
-    """obj[key] (or ``default``), which must be of ``kind``; bool is not
-    taken for int."""
-    value = obj.get(key, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise GridInputError(f"{label}: '{key}' must be {_KINDS[kind]}, "
-                             f"got {value!r}")
-    return value
-
-
 def _load_side(obj: dict, base: Path, label: str) -> CaseSide | None:
     if not isinstance(obj, dict):
         raise GridInputError(f"{label}: must be a JSON object, "
                              f"got {type(obj).__name__}")
     if "grid" in obj:
-        if not isinstance(obj["grid"], str):
-            raise GridInputError(f"{label}: 'grid' must be a string")
-        grid = _resolve_grid(obj["grid"], base)
+        grid = _resolve_grid(json_field(obj, "grid", str, label), base)
     elif obj.get("construct") == "connected_sum":
         return None  # built later from the summands
     else:
         raise GridInputError(f"{label}: need a 'grid' reference or "
                              f"'construct': 'connected_sum'")
-    return CaseSide(grid, _field(obj, "index2", int, label),
-                    _field(obj, "name", str, label, label))
+    return CaseSide(grid, json_field(obj, "index2", int, label),
+                    json_field(obj, "name", str, label, label))
 
 
 def load_case(path) -> tuple[MurasugiCase, dict]:
@@ -312,20 +302,20 @@ def load_case(path) -> tuple[MurasugiCase, dict]:
     if s1 is None or s2 is None:
         raise GridInputError("summands must reference explicit grids")
     total = _load_side(data.get("sum"), base, "sum")
-    sides = _field(data, "polygon_sides", int, path.name)
+    sides = json_field(data, "polygon_sides", int, path.name)
     if total is None:
         if sides != 2:
             raise GridInputError("connected-sum construction needs "
                                  "polygon_sides = 2")
         grid = connected_sum(s1.grid, s2.grid)
-        total = CaseSide(grid, _field(data["sum"], "index2", int, "sum"),
-                         _field(data["sum"], "name", str, "sum", "sum"))
-    case = MurasugiCase(_field(data, "name", str, path.name, path.stem),
+        total = CaseSide(grid, json_field(data["sum"], "index2", int, "sum"),
+                         json_field(data["sum"], "name", str, "sum", "sum"))
+    case = MurasugiCase(json_field(data, "name", str, path.name, path.stem),
                         sides, s1, s2, total)
-    expect = _field(data, "expect", dict, path.name, {})
+    expect = json_field(data, "expect", dict, path.name, {})
     for key in expect:  # booleans, or the class name of an expected error
-        _field(expect, key, str if key == "error" else bool,
-               f"{path.name}: 'expect'")
+        json_field(expect, key, str if key == "error" else bool,
+                   f"{path.name}: 'expect'")
     return case, expect
 
 

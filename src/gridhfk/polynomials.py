@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import GridInputError
+from .errors import GridInputError, json_field
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,13 @@ class LaurentPoly:
         return {str(e): c for e, c in sorted(self.coeffs.items())}
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, label="polynomial"):
+        """The polynomial of a JSON object of exponent: coefficient, whose
+        coefficients must be integers; ``label`` names it in errors."""
         if not isinstance(data, dict):
-            raise GridInputError(f"a polynomial must be a JSON object of "
-                                 f"exponent: coefficient, not {type(data).__name__}")
-        return cls({int(e): int(c) for e, c in data.items()})
+            raise GridInputError(f"{label} must be a JSON object of exponent: "
+                                 f"coefficient, not {type(data).__name__}")
+        return cls({int(e): json_field(data, e, int, label) for e in data})
 
 
 def divide_exact(num, den):

@@ -400,6 +400,17 @@ def test_ledger_add_from_grid_and_literature(ledger_file):
     assert code == 0 and "[literature]" in out
 
 
+def test_ledger_add_from_grid_reports_the_grid_it_read(ledger_file):
+    code, out, _ = invoke("--json", "ledger", "--file", ledger_file, "add",
+                          "f8", "--grid", "corpus:figure_eight6")
+    assert code == 0
+    data = json.loads(out)
+    want = hashlib.sha256(
+        open(corpus_path("figure_eight6"), "rb").read()).hexdigest()
+    assert data["inputs"]["grid"]["sha256"] == want
+    assert data["grid_sizes"] == {"grid": [6, 6]}
+
+
 def test_ledger_add_from_grid_respects_the_budget(ledger_file):
     code, _, err = invoke("--max-generators", "0", "ledger", "--file",
                           ledger_file, "add", "tre", "--grid",
@@ -436,6 +447,38 @@ def test_ledger_input_of_the_wrong_shape_is_exit_2(ledger_file, content, argv):
     code, _, err = invoke("ledger", "--file", ledger_file, *argv)
     assert code == 2
     assert err.startswith("GridInputError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("poincare, field", [
+    ('{"0": 1.5, "2": 1}', "'0'"),
+    ('{"0": 1, "2": true}', "'2'"),
+], ids=["float", "bool"])
+def test_ledger_add_takes_integer_coefficients_only(ledger_file, poincare,
+                                                    field):
+    code, out, err = invoke("ledger", "--file", ledger_file, "add", "x",
+                            "--poincare", poincare, "--b1", "2")
+    assert code == 2 and not out
+    assert err.startswith("GridInputError: --poincare")
+    assert field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"name": "a", "top_poincare": {"0": 1}, "b1_min": 2.9}, "'b1_min'"),
+    ({"name": "a", "top_poincare": {"0": 1}, "b1_min": True}, "'b1_min'"),
+    ({"name": 5, "top_poincare": {"0": 1}, "b1_min": 2}, "'name'"),
+    ({"name": "a", "top_poincare": {"1": 1.0}, "b1_min": 2}, "'1'"),
+    ({"name": "a", "top_poincare": {"0": 1}, "b1_min": 2,
+      "source": "computed", "grid": 7}, "'grid'"),
+], ids=["b1-float", "b1-bool", "name-int", "coefficient-float", "grid-int"])
+def test_ledger_file_fields_of_the_wrong_type_are_exit_2(ledger_file, entry,
+                                                          field):
+    entry.setdefault("source", "literature")
+    with open(ledger_file, "w", encoding="utf-8") as fh:
+        json.dump({"schema": 1, "entries": [entry]}, fh)
+    code, out, err = invoke("ledger", "--file", ledger_file, "show")
+    assert code == 2 and not out
+    assert err.startswith("GridInputError") and field in err
+    assert err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

@@ -328,9 +328,9 @@ def test_scan_refuses_the_level_over_budget_before_its_boundary(monkeypatch):
         return right(counter, srcs, targets, mode)
 
     monkeypatch.setattr(homology, "boundary_entries", counted)
-    sizes = {}
-    scan_bottom(g, max_generators=396, level_sizes=sizes)
-    assert list(sizes.items())[:2] == [(-12, 18), (-10, 378)]
+    scan = scan_bottom(g, max_generators=396)
+    assert [(lc.alex2, lc.size) for lc in scan.levels][:2] == [(-12, 18),
+                                                                (-10, 378)]
     sources.clear()
     with pytest.raises(GridResourceError,
                        match="levels up to -10 hold at least 396 generators, "

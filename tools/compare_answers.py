@@ -21,11 +21,16 @@ its tree's ``src/``.  The set:
     hopf_plus4#trefoil5 (7 after simplification, ten levels).  This
     checkout's ``connected_sum`` writes their grid files once into a
     temporary directory, and both trees read those files;
-  * the two ``cable --compare`` commands of the unknot's (2, +-3) cables.
+  * the two ``cable --compare`` commands of the unknot's (2, +-3) cables;
+  * ``ledger seed``, ``ledger p hopf_plus hopf_plus -trefoil``, ``ledger
+    show`` and ``ledger add f8 --grid corpus:figure_eight6``, in that
+    order, on a fresh ledger file in a temporary directory of each tree's
+    run.
 
-Command by command, it compares the exit code, standard error (with the
-tree's path written as ``<tree>``), and the report's ``results``
-(without wall times), ``generator_counts`` and ``grid_sizes``.  It
+Command by command, it compares the argument list, the exit code,
+standard error, and the report's ``results`` (without wall times),
+``generator_counts`` and ``grid_sizes``, with the tree's path written
+as ``<tree>`` and the ledger file's as ``<ledger>``.  It
 prints the first difference and exits 1, or exits 0 when every answer
 is identical; it exits 2 when a tree cannot run the set.
 """
@@ -58,6 +63,11 @@ COMPUTE_SUMS = [("trefoil5", "trefoil5"), ("knot_5_2_7", "trefoil5"),
 
 CABLES = [("3", "trefoil5"), ("-3", "trefoil_left5")]
 
+LEDGER = "<ledger>"  # each run puts its own ledger file's path here
+
+LEDGER_COMMANDS = [["seed"], ["p", "hopf_plus", "hopf_plus", "-trefoil"],
+                   ["show"], ["add", "f8", "--grid", "corpus:figure_eight6"]]
+
 MAX_COMPUTE_N = 7
 
 COMPARED = ("code", "stderr", "results", "generator_counts", "grid_sizes")
@@ -76,15 +86,21 @@ def command_set(corpus_sizes, sum_paths):
         commands += [["compute", path], ["compute", "--hat", path]]
     commands += [["cable", "unknot3", "--p", "2", "--q", q, "--compare", knot]
                  for q, knot in CABLES]
+    commands += [["ledger", "--file", LEDGER, *sub] for sub in LEDGER_COMMANDS]
     return commands
 
 
-def _without_wall_times(value):
+def _comparable(value, marks):
+    """``value`` without wall times, with each path of ``marks``, a map
+    of path to placeholder, replaced by its placeholder in every string."""
     if isinstance(value, dict):
-        return {k: _without_wall_times(v) for k, v in value.items()
+        return {k: _comparable(v, marks) for k, v in value.items()
                 if k != "wall_time"}
     if isinstance(value, list):
-        return [_without_wall_times(v) for v in value]
+        return [_comparable(v, marks) for v in value]
+    if isinstance(value, str):
+        for path, mark in marks.items():
+            value = value.replace(path, mark)
     return value
 
 
@@ -113,18 +129,22 @@ def emit(tree, sum_paths):
 
     sizes = {name: load_corpus(name).n for name in list_corpus()}
     answers = []
-    for argv in command_set(sizes, sum_paths):
-        out, err = io.StringIO(), io.StringIO()
-        code = cli.run(["--json", *argv], out, err)
-        report = json.loads(out.getvalue()) if out.getvalue() else {}
-        answers.append({
-            "argv": argv,
-            "code": code,
-            "stderr": err.getvalue().replace(str(tree), "<tree>"),
-            "results": _without_wall_times(report.get("results")),
-            "generator_counts": report.get("generator_counts"),
-            "grid_sizes": report.get("grid_sizes"),
-        })
+    with tempfile.TemporaryDirectory() as directory:
+        ledger = str(Path(directory) / "ledger.json")
+        marks = {ledger: LEDGER, str(tree): "<tree>"}
+        for argv in command_set(sizes, sum_paths):
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(["--json", *(ledger if a == LEDGER else a
+                                        for a in argv)], out, err)
+            report = json.loads(out.getvalue()) if out.getvalue() else {}
+            answers.append({
+                "argv": argv,
+                "code": code,
+                "stderr": _comparable(err.getvalue(), marks),
+                "results": _comparable(report.get("results"), marks),
+                "generator_counts": report.get("generator_counts"),
+                "grid_sizes": report.get("grid_sizes"),
+            })
     json.dump(answers, sys.stdout)
 
 

@@ -20,6 +20,12 @@ from gridhfk.murasugi import cable_top_group_predict
 from gridhfk.polynomials import LaurentPoly
 
 
+def true_maslov(poly):
+    """A Maslov polynomial with doubled exponents, shown in true ones
+    (doubled Maslov gradings are even)."""
+    return LaurentPoly({e // 2: c for e, c in poly.coeffs.items()}).format()
+
+
 def banner(text):
     print()
     print("=" * 66)
@@ -32,9 +38,9 @@ def describe(name):
     bot, top = bottom_group(g), top_group(g)
     print(f"\n{name}:  genus = {genus2(g) // 2}")
     print(f"  bottom group at Alexander {bot.alex2 / 2:+.1f}: "
-          f"Maslov polynomial {bot.poincare.format(halved=True)}")
+          f"Maslov polynomial {true_maslov(bot.poincare)}")
     print(f"  top group    at Alexander {top.alex2 / 2:+.1f}: "
-          f"Maslov polynomial {top.poincare.format(halved=True)}")
+          f"Maslov polynomial {true_maslov(top.poincare)}")
     print(f"  tau flags: bottom detects -g: {tau_bot_is_minus_g(g)}, "
           f"top detects +g: {tau_top_is_g(g)}")
 
@@ -74,9 +80,9 @@ for q, grid_name in ((3, "trefoil5"), (-3, "trefoil_left5")):
     match = (alex2, maslov) == (actual.alex2, actual.poincare)
     print(f"\n  (2, {q:+d}) cable of the unknot:")
     print(f"    predicted top: Alexander {alex2 / 2:+.1f}, "
-          f"Maslov polynomial {maslov.format(halved=True)}")
+          f"Maslov polynomial {true_maslov(maslov)}")
     print(f"    computed from {grid_name}: Alexander {actual.alex2 / 2:+.1f}, "
-          f"Maslov polynomial {actual.poincare.format(halved=True)}")
+          f"Maslov polynomial {true_maslov(actual.poincare)}")
     print(f"    match: {match}")
     assert match
 
@@ -86,4 +92,4 @@ tre_top = top_group(tre).poincare
 for p, q in ((3, 2), (3, -2), (5, 7)):
     alex2, maslov = cable_top_group_predict(p, q, genus2(tre), tre_top)
     print(f"  ({p}, {q:+d}) cable of the trefoil: top group at Alexander "
-          f"{alex2 / 2:+.1f}, Maslov polynomial {maslov.format(halved=True)}")
+          f"{alex2 / 2:+.1f}, Maslov polynomial {true_maslov(maslov)}")

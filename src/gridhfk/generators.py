@@ -133,10 +133,7 @@ def _set_bits(words):
 def _build_completion_table(calc, grading):
     n = calc.n
     if grading == "alex":
-        # alex2 adds fa[c][r]; within a column these share one parity.
-        lo = calc.fa.min(axis=1)
-        shift = (calc.fa - lo[:, None]) // 2
-        base = int(lo.sum()) + calc.alex_const
+        shift, base, width = calc.alex_terms()
         inversions = False
     elif grading == "maslov":
         # maslov2 / 2 adds fm[c][r] / 2 plus the new increasing pairs.
@@ -145,11 +142,9 @@ def _build_completion_table(calc, grading):
         shift = half_fm - lo[:, None]
         base = 2 * int(lo.sum()) + calc.maslov_const
         inversions = True
+        width = int(shift.max(axis=1).sum()) + 1 + n * (n - 1) // 2
     else:
         raise ValueError(f"unknown grading {grading!r}")
-    width = int(shift.max(axis=1).sum()) + 1
-    if inversions:
-        width += n * (n - 1) // 2
     # A move adds at most n, plus n - 1 pairs: under 64 for any n whose
     # 2^n masks fit in memory.
     reach = np.zeros((-(-width // 64), 1 << n), dtype=np.uint64)
@@ -251,9 +246,7 @@ def level_counts(calc):
     if n > 20:
         raise GridResourceError(f"level counts of {n}! generators overflow int64",
                                 estimate=math.factorial(n))
-    lo = calc.fa.min(axis=1)
-    shift = (calc.fa - lo[:, None]) // 2
-    width = int(shift.max(axis=1).sum()) + 1
+    shift, floor, width = calc.alex_terms()
     # A mask's row is [pad | even (width) | pad | odd (width)]: a window
     # shifted right reads zeros from the pad in front of it.
     pad = int(shift.max())
@@ -284,7 +277,6 @@ def level_counts(calc):
     even, odd = counts[pad:half], counts[half + pad:]
     total = even + odd
     sign = -1 if calc.maslov_const // 2 % 2 else 1
-    floor = calc.level_floor()
     return {floor + 2 * i: (int(total[i]), sign * int(even[i] - odd[i]))
             for i in np.flatnonzero(total).tolist()}
 
@@ -303,9 +295,3 @@ def generators_up_to(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     top = min(cutoff_alex2, calc.level_ceiling())
     return graded_generators(calc, "alex", range(calc.level_floor(), top + 1),
                              max_generators)
-
-
-def encode_perms(perms, n):
-    """Pack permutation rows into unique int64 keys (mixed radix)."""
-    weights = n ** np.arange(n, dtype=np.int64)
-    return perms @ weights

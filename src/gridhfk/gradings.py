@@ -128,9 +128,23 @@ class GradingCalculator:
         fm += ixx  # 2 * ixx, with no int64 temporary
         return fm
 
+    def alex_terms(self):
+        """The halved Alexander move terms: (shift, floor, width).
+
+        Placing row r in column c adds fa[c][r] to alex2, and within a
+        column these share one parity, so
+        alex2 = floor + 2 sum_c shift[c][perm[c]], with shift >= 0 and
+        the sum below ``width``.  The enumeration's alex completion
+        table and ``level_counts`` both index levels by that sum.
+        """
+        lo = self.fa.min(axis=1)
+        shift = (self.fa - lo[:, None]) // 2
+        return (shift, int(lo.sum()) + self.alex_const,
+                int(shift.max(axis=1).sum()) + 1)
+
     def level_floor(self):
         """A lower bound for alex2 over all generators (relaxed assignment)."""
-        return int(self.fa.min(axis=1).sum()) + self.alex_const
+        return self.alex_terms()[1]
 
     def level_ceiling(self):
         """An upper bound for alex2 over all generators."""

@@ -1,4 +1,4 @@
-"""Level complexes, bigraded homology ranks, and the two-step filtration.
+"""Level complexes, bigraded homology ranks, and τ's filtration window.
 
 The entry points ``homology_ranks`` and ``induced_map_rank`` take a
 grid and build its one GradingCalculator; everything below them,
@@ -34,15 +34,19 @@ bottom scan hands it one level at a time and stops at the first with
 homology, so it enumerates just the levels it visits.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
-generators at or below a cutoff span a subcomplex.
-``two_step_from_levels`` joins walked levels into the subcomplex up to
-the last of them, τ's window: each level after the first adds its
+generators at or below a cutoff span a subcomplex, τ's window.  It is
+held as a LevelComplex whose alex2 is the cutoff and whose boundary is
+the filtered one.  ``two_step_from_levels`` joins walked levels into the
+window up to the last of them: each level after the first adds its
 filtered boundary into the levels before it, from one rectangle pass
 with those levels as targets, made only when τ runs.  On the one-level
 tails of simplified grids there is no such pass.  ``build_two_step``
-builds the subcomplex for any cutoff from the generators up to it, in
-one pass, and the tests hold the two to each other.  The rank of the map
-on homology induced by its inclusion is computed per Maslov slice as
+builds the window for any cutoff from the generators up to it, in one
+pass, and the tests hold the two to each other.  Either way the window
+holds every generator at or below its alex2, so membership is a grading
+test: a generator of the full complex lies outside exactly when its
+alex2 is above the window's.  The rank of the map on homology induced by
+the inclusion is computed per Maslov slice as
 
     dim Z_S - dim(Z_S  intersect  image of the full boundary)
 
@@ -75,7 +79,6 @@ from . import gf2
 from .errors import GridResourceError, InconsistentComplex, NotDivisible
 from .generators import (
     DEFAULT_MAX_GENERATORS,
-    encode_perms,
     # Unused here, but perfbench's traced run wraps this name in this module.
     enumerate_all,  # noqa: F401
     generators_in_level,
@@ -89,7 +92,8 @@ from .rectangles import MODE_FILTERED, MODE_LEVEL, boundary_entries
 
 @dataclass
 class LevelComplex:
-    """One Alexander level with its level-preserving boundary."""
+    """One Alexander level with its level-preserving boundary, or τ's
+    window: the generators at or below alex2 with the filtered boundary."""
 
     alex2: int
     gens: np.ndarray          # (m, n) permutations, canonical order
@@ -355,33 +359,20 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
     return tilde
 
 
-@dataclass
-class TwoStepFiltration:
-    """Subcomplex of generators at or below an Alexander cutoff.
-
-    Holds the sub generators in canonical order with the filtered
-    boundary restricted to them; the full complex is only ever touched
-    one Maslov slice at a time by induced_map_ranks.
-    """
-
-    gens: np.ndarray
-    maslov2: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
 def build_two_step(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
-    """The subcomplex of the generators at or below the cutoff."""
+    """τ's window at the cutoff: the generators at or below it with the
+    filtered boundary."""
     gens = generators_up_to(calc, cutoff_alex2, max_generators)
     gens, m2 = _canonical(calc, gens)
     rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_FILTERED)
-    return TwoStepFiltration(gens=gens, maslov2=m2, rows=rows, cols=cols)
+    return LevelComplex(alex2=cutoff_alex2, gens=gens, maslov2=m2, rows=rows,
+                        cols=cols)
 
 
 def two_step_from_levels(calc, levels):
-    """The subcomplex spanned by the level complexes of a tail, lowest
-    first, as ``walk_levels`` yields them: every non-empty level up to the
-    last one, so ``build_two_step`` at the last level's alex2.
+    """τ's window spanned by the level complexes of a tail, lowest first,
+    as ``walk_levels`` yields them: every non-empty level up to the last
+    one, so ``build_two_step`` at the last level's alex2.
 
     Each level brings its level boundary, and each level after the first
     its filtered boundary into the levels before it, from one rectangle
@@ -405,9 +396,9 @@ def two_step_from_levels(calc, levels):
     order = np.argsort(m2, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    return TwoStepFiltration(gens=gens[order], maslov2=m2[order],
-                             rows=position[np.concatenate(rows)],
-                             cols=position[np.concatenate(cols)])
+    return LevelComplex(alex2=levels[-1].alex2, gens=gens[order],
+                        maslov2=m2[order], rows=position[np.concatenate(rows)],
+                        cols=position[np.concatenate(cols)])
 
 
 def _sub_cycles_by_maslov(filt):
@@ -428,8 +419,9 @@ def _sub_cycles_by_maslov(filt):
 def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     """Per-slice terms of the rank of H(sub) -> H(full), lowest slice first.
 
-    ``filt`` is the TwoStepFiltration of the subcomplex, on the grid of
-    the calculator.
+    ``filt`` is the window of the subcomplex, on the grid of the
+    calculator: every generator at or below ``filt.alex2``, as
+    ``build_two_step`` and ``two_step_from_levels`` build it.
 
     Yields, for every needed Maslov slice m2 in increasing order, the
     number dim Z_S - dim(Z_S meet B) >= 0, where Z_S is the cycle space
@@ -445,7 +437,6 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
         return
     cycles = _sub_cycles_by_maslov(filt)
     window_lo = -2 * (calc.n - 1)
-    sub_keys = encode_perms(filt.gens, calc.n)
 
     for m2 in sorted(cycles):
         if not window_lo <= m2 <= 0:
@@ -457,7 +448,7 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
         # the order of the kernel tags, so that bit k of a tag and of an
         # image vector stand for the same generator (low bits).
         slice_gens = pair[pair_m2 == m2]
-        outside = ~np.isin(encode_perms(slice_gens, calc.n), sub_keys)
+        outside = calc.alex2_batch(slice_gens) > filt.alex2
         basis = np.concatenate([members, slice_gens[outside]])
 
         sources = pair[pair_m2 == m2 + 2]

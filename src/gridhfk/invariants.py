@@ -253,13 +253,3 @@ def alexander_polynomial(grid):
     if poly.eval_one() != 1:
         raise InconsistentComplex(f"Alexander value at 1 is {poly.eval_one()}, not +1")
     return poly
-
-
-def is_extremal_rank_one(group):
-    """Whether an extremal group has total rank one (fiberedness signal)."""
-    return group.rank == 1
-
-
-def is_extremal_thin(group):
-    """Whether an extremal group is supported in one Maslov grading."""
-    return len(group.poincare.coeffs) == 1

@@ -116,8 +116,9 @@ class LedgerEntry:
         if any(c < 0 for c in self.top_poincare.coeffs.values()):
             raise GridInputError("Poincare polynomials have non-negative "
                                  "coefficients")
-        if self.b1_min < 0:
-            raise GridInputError(f"b1_min must be >= 0, got {self.b1_min}")
+        if type(self.b1_min) is not int or self.b1_min < 0:
+            raise GridInputError(f"b1_min must be an integer >= 0, got "
+                                 f"{self.b1_min!r}")
         if self.source not in SOURCES:
             raise GridInputError(f"source must be one of {SOURCES}")
         if self.source == "computed" and not self.grid:

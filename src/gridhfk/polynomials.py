@@ -10,6 +10,8 @@ polynomials with a nonzero constant term.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -21,10 +23,15 @@ class LaurentPoly:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs",
-            {int(e): int(c) for e, c in self.coeffs.items() if int(c) != 0},
-        )
+        """Exponents and coefficients must be integers (Python or numpy);
+        anything else, 1.5 or 2.0 alike, raises GridInputError."""
+        try:
+            terms = [(operator.index(e), operator.index(c))
+                     for e, c in self.coeffs.items()]
+        except TypeError:
+            raise GridInputError(f"a polynomial's exponents and coefficients "
+                                 f"must be integers, got {self.coeffs!r}") from None
+        object.__setattr__(self, "coeffs", {e: c for e, c in terms if c})
 
     @classmethod
     def zero(cls):
@@ -97,26 +104,17 @@ class LaurentPoly:
             return self
         return self.shift(-self.min_exp())
 
-    def is_symmetric(self):
-        return self == self.reflect()
-
-    def format(self, var="t", halved=False):
-        """Render for display; halved divides exponents by 2 for doubled
-        gradings, writing odd ones as fractions."""
+    def format(self, var="t"):
+        """Render for display, highest exponent first."""
         if not self.coeffs:
             return "0"
         parts = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
-            if halved:
-                num = e // 2 if e % 2 == 0 else None
-                expo = str(num) if num is not None else f"{e}/2"
-            else:
-                expo = str(e)
-            if (halved and e == 0) or (not halved and e == 0):
+            if e == 0:
                 term = str(c)
             else:
-                base = var if expo == "1" else f"{var}^{expo}"
+                base = var if e == 1 else f"{var}^{e}"
                 term = base if c == 1 else f"{c}*{base}"
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
@@ -127,10 +125,16 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data, label="polynomial"):
         """The polynomial of a JSON object of exponent: coefficient, whose
+        keys must be integers written canonically ("1", "-2"; not "01",
+        "1.0" or " 1", so no two keys name one exponent) and whose
         coefficients must be integers; ``label`` names it in errors."""
         if not isinstance(data, dict):
             raise GridInputError(f"{label} must be a JSON object of exponent: "
                                  f"coefficient, not {type(data).__name__}")
+        for e in data:
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", e):
+                raise GridInputError(f"{label}: exponent key {e!r} must be "
+                                     f"an integer written canonically")
         return cls({int(e): json_field(data, e, int, label) for e in data})
 
 

@@ -26,10 +26,15 @@ grid's RectangleCounter holds one such flat table per boundary mode.
 ``boundary_entries`` runs over all (source, ci, width) triples at once,
 in passes of at most ``_CHUNK`` triples, so memory stays flat whatever
 the number of sources.  The target basis is an array of generators,
-packed into mixed-radix int64 keys and sorted once; the targets of
-each pass are found among those keys with one ``np.searchsorted``, and
-the multiplicity of every (source, target) pair is reduced mod 2 by one
-``np.unique(..., return_counts=True)`` over all passes.
+packed into mixed-radix int64 keys sum_c perm[c] n^c and sorted once;
+the targets of each pass are found among those keys with one
+``np.searchsorted``, and the multiplicity of every (source, target) pair
+is reduced mod 2 by one ``np.unique(..., return_counts=True)`` over all
+passes.  This is the package's only use of such keys.  They wrap mod
+2^64, and from n = 17 two generators can share one, so a key hit is
+kept only when the target's row equals the moved source row (one gather
+and compare per pass), and every target of an equal-key run is tried:
+the entries are exact at every n.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ def boundary_entries(counter, sources, targets, mode):
     keys = targets @ weights
     index = np.argsort(keys)
     keys = keys[index]
+    # Targets sharing a key lie within ``run`` places of the first of them.
+    run = 1 + int(np.count_nonzero(keys[1:] == keys[:-1]))
     span = len(targets)
     # Markings that may not lie inside a counted rectangle, as a flat
     # doubled prefix table indexed by column * stride + row.
@@ -117,11 +124,18 @@ def boundary_entries(counter, sources, targets, mode):
         keep = inside == 0
         x, ci, a = x[keep], ci[keep], a[keep]
         cj = c1[keep] % n
-        moved = ((chunk @ weights)[x]
-                 + (chunk[x, cj] - a) * (weights[ci] - weights[cj]))
-        pos = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
-        found = keys[pos] == moved
-        pairs.append((x[found] + lo) * span + index[pos[found]])
+        b = chunk[x, cj]
+        moved = (chunk @ weights)[x] + (b - a) * (weights[ci] - weights[cj])
+        first = np.searchsorted(keys, moved)
+        for d in range(run):
+            pos = np.minimum(first + d, len(keys) - 1)
+            hit = np.flatnonzero(keys[pos] == moved)
+            source, target = x[hit], index[pos[hit]]
+            # The moved row: the source with rows a and b swapped.
+            row, at = chunk[source], np.arange(len(hit))
+            row[at, ci[hit]], row[at, cj[hit]] = b[hit], a[hit]
+            same = (targets[target] == row).all(axis=1)
+            pairs.append((source[same] + lo) * span + target[same])
     pairs, counts = np.unique(np.concatenate(pairs), return_counts=True)
     pairs = pairs[counts % 2 == 1]
     return pairs % span, pairs // span

@@ -4,6 +4,7 @@ and a full ledger session in a scratch directory."""
 import hashlib
 import io
 import json
+import os
 from collections import Counter
 from itertools import permutations
 
@@ -452,7 +453,10 @@ def test_ledger_input_of_the_wrong_shape_is_exit_2(ledger_file, content, argv):
 @pytest.mark.parametrize("poincare, field", [
     ('{"0": 1.5, "2": 1}', "'0'"),
     ('{"0": 1, "2": true}', "'2'"),
-], ids=["float", "bool"])
+    ('{"1": 1, "01": 2}', "'01'"),
+    ('{"1.0": 1}', "'1.0'"),
+    ('{" 1": 1}', "' 1'"),
+], ids=["float", "bool", "key-01", "key-1.0", "key-space"])
 def test_ledger_add_takes_integer_coefficients_only(ledger_file, poincare,
                                                     field):
     code, out, err = invoke("ledger", "--file", ledger_file, "add", "x",
@@ -460,6 +464,7 @@ def test_ledger_add_takes_integer_coefficients_only(ledger_file, poincare,
     assert code == 2 and not out
     assert err.startswith("GridInputError: --poincare")
     assert field in err and err.count("\n") == 1
+    assert not os.path.exists(ledger_file)
 
 
 @pytest.mark.parametrize("entry, field", [

@@ -27,7 +27,7 @@ from gridhfk.grids import (
     make_grid,
     mirror,
 )
-from gridhfk.generators import encode_perms, graded_levels
+from gridhfk.generators import graded_levels
 from gridhfk.gradings import GradingCalculator
 from gridhfk.homology import (
     BigradedRanks,
@@ -44,8 +44,6 @@ from gridhfk.invariants import (
     bottom_group,
     genus2,
     hat_ranks,
-    is_extremal_rank_one,
-    is_extremal_thin,
     scan_bottom,
     state_sum,
     tau_bot_is_minus_g,
@@ -239,11 +237,13 @@ def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
     assert links
 
 
-def _generators_and_edges(filt, n):
-    keys = encode_perms(filt.gens, n).tolist()
-    edges = sorted((keys[c], keys[r])
-                   for r, c in zip(filt.rows.tolist(), filt.cols.tolist()))
-    return sorted(keys), edges
+def _generators_and_edges(window):
+    """The window's top level, its generators as row tuples, and its
+    boundary entries as (source, target) pairs of those tuples."""
+    gens = [tuple(row) for row in window.gens.tolist()]
+    edges = sorted((gens[c], gens[r])
+                   for r, c in zip(window.rows.tolist(), window.cols.tolist()))
+    return window.alex2, sorted(gens), edges
 
 
 def test_mirror_scans_of_multi_level_tails_match_the_oracle():
@@ -270,8 +270,8 @@ def test_mirror_scans_of_multi_level_tails_match_the_oracle():
         assert tau_top_is_g(g, mirror_scan=scan) == want, g
         tail = two_step_from_levels(scan.calc, scan.levels)
         assert np.all(np.diff(tail.maslov2) >= 0), g
-        assert (_generators_and_edges(tail, g.n) == _generators_and_edges(
-            build_two_step(scan.calc, cutoff), g.n)), g
+        assert (_generators_and_edges(tail) == _generators_and_edges(
+            build_two_step(scan.calc, cutoff))), g
         if found == 4:
             break
     assert found == 4
@@ -292,8 +292,8 @@ def test_window_from_levels_is_the_two_step_at_every_cutoff():
             window = two_step_from_levels(calc, levels)
             want = build_two_step(calc, lc.alex2)
             assert np.all(np.diff(window.maslov2) >= 0), g
-            assert (_generators_and_edges(window, g.n)
-                    == _generators_and_edges(want, g.n)), (g, lc.alex2)
+            assert (_generators_and_edges(window)
+                    == _generators_and_edges(want)), (g, lc.alex2)
 
 
 def test_scan_checks_each_level_euler_characteristic(monkeypatch):
@@ -350,14 +350,16 @@ def test_scan_refuses_the_level_over_budget_before_its_boundary(monkeypatch):
 
 
 def test_extremal_predicates():
-    assert is_extremal_rank_one(top_group(corpus("trefoil5")))
-    assert is_extremal_rank_one(top_group(corpus("figure_eight6")))
-    assert is_extremal_rank_one(top_group(corpus("torus_2_5_7")))
+    """Total rank one (the fiberedness signal) and thinness (support in
+    one Maslov grading), read off the group."""
+    assert top_group(corpus("trefoil5")).rank == 1
+    assert top_group(corpus("figure_eight6")).rank == 1
+    assert top_group(corpus("torus_2_5_7")).rank == 1
     five_two = top_group(corpus("knot_5_2_7"))
-    assert not is_extremal_rank_one(five_two)
-    assert is_extremal_thin(five_two)  # rank 2 in a single Maslov grading
+    assert five_two.rank != 1
+    assert len(five_two.poincare.coeffs) == 1  # rank 2 in one Maslov grading
     spread = ExtremalGroup(2, LaurentPoly({0: 1, 2: 1}), 1)
-    assert not is_extremal_thin(spread)
+    assert len(spread.poincare.coeffs) != 1
     assert spread.rank == 2
 
 
@@ -391,7 +393,7 @@ def test_alexander_polynomials_frozen():
 def test_alexander_is_symmetric_and_one_at_one():
     for name in ALEXANDER:
         poly = alexander_polynomial(corpus(name))
-        assert poly.is_symmetric(), name
+        assert poly == poly.reflect(), name
         assert poly.eval_one() == 1, name
 
 

@@ -3,10 +3,11 @@
 GF(2) ranks, kernels and prefix images at widths of 60-300 bits are
 checked against the plain-int eliminations of the oracle; boundary
 entries, split into passes of one, two and three sources or not, and
-into a restricted target basis, against the rectangle oracle; every
-mask of the completion tables against a brute-force completion, and
-the multi-word tables of grids of size 8-10 against all n! states; and
-``verify_d2`` against a boundary with one entry flipped.
+into a restricted target basis, against the rectangle oracle, and on
+an n = 20 pair whose int64 keys collide; every mask of the completion
+tables against a brute-force completion, and the multi-word tables of
+grids of size 8-10 against all n! states; and ``verify_d2`` against a
+boundary with one entry flipped.
 """
 
 from itertools import permutations
@@ -168,6 +169,32 @@ def test_boundary_entries_in_uneven_passes_match_oracle(monkeypatch, per_pass):
                 (src, tgt) for tgt, src in want)
             assert np.array_equal(rows, whole[0])
             assert np.array_equal(cols, whole[1])
+
+
+def test_boundary_entries_are_exact_where_target_keys_collide():
+    """At n = 20 the mixed-radix keys of p and q coincide, though q
+    differs from s, p with its columns 0 and 1 swapped, in all 20
+    places.  The swap is an empty rectangle on this grid, so s -> p is
+    an entry and s -> q is not, in either mode and whichever of the two
+    colliding targets sorts first."""
+    n = 20
+    p = np.array([1, 12, 14, 10, 8, 15, 6, 5, 16, 17, 2, 3, 4, 7, 19, 9, 0,
+                  18, 11, 13], dtype=np.int64)
+    q = np.array([5, 11, 15, 12, 4, 16, 1, 3, 14, 18, 9, 6, 7, 2, 17, 0, 8,
+                  19, 13, 10], dtype=np.int64)
+    weights = n ** np.arange(n, dtype=np.int64)
+    assert p @ weights == q @ weights
+    s = p[[1, 0, *range(2, n)]]
+    assert np.all(s != q)
+    calc = GradingCalculator(make_grid([(r - 1) % n for r in range(n)],
+                                       [(r - 2) % n for r in range(n)]))
+    for mode in (MODE_LEVEL, MODE_FILTERED):
+        rows, cols = boundary_entries(calc.rectangles, s[None], q[None], mode)
+        assert len(rows) == len(cols) == 0, mode
+        for targets, want in (([p], 0), ([q, p], 1), ([p, q], 0)):
+            rows, cols = boundary_entries(calc.rectangles, s[None],
+                                          np.stack(targets), mode)
+            assert (rows.tolist(), cols.tolist()) == ([want], [0]), mode
 
 
 def _reachable_by_brute_force(g, grading, mask, shift, base):

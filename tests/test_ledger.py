@@ -3,6 +3,7 @@ image of formal sums, independence certificates, and persistence."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,13 @@ def test_entry_validation():
         LedgerEntry("x", LaurentPoly.one(), 0, "guesswork")
     with pytest.raises(GridInputError):
         LedgerEntry("x", LaurentPoly.one(), 0, "computed")  # no grid ref
+
+
+@pytest.mark.parametrize("b1", [2.0, 2.9, True, "2", np.int64(2)])
+def test_entry_refuses_a_b1_min_that_is_not_an_int(b1):
+    # Not even a numpy integer: the entry is saved with json.dump.
+    with pytest.raises(GridInputError, match="b1_min"):
+        LedgerEntry("x", LaurentPoly.one(), b1, "literature")
 
 
 def test_entry_json_round_trip():

@@ -11,6 +11,7 @@ changed.
 import importlib.util
 import inspect
 import io
+import re
 from collections import Counter
 from itertools import permutations
 from pathlib import Path
@@ -70,6 +71,23 @@ def test_every_traced_site_exists_and_its_note_binds(spans):
             check_note(note, vars(cls)[attr])
     for mod in spans.POOL_SITES:
         assert "ThreadPoolExecutor" in vars(getattr(gridhfk, mod)), mod
+
+
+def test_every_unused_import_is_a_traced_site(spans):
+    """An import marked ``# noqa: F401`` in the package is kept only for
+    the traced run, so it must name a site of its own module; once the
+    benchmark drops the site, this fails until the import goes too."""
+    sites = {(mod, attr) for mod, attr, _, _ in spans.FUNCTION_SITES}
+    sites |= {(mod, "ThreadPoolExecutor") for mod in spans.POOL_SITES}
+    package = Path(gridhfk.__file__).parent
+    pinned = []
+    for path in sorted(package.glob("*.py")):
+        for line in path.read_text().splitlines():
+            code, _, comment = line.partition("#")
+            if "noqa: F401" in comment:
+                pinned.append((path.stem, re.findall(r"\w+", code)[-1]))
+    assert pinned
+    assert [pin for pin in pinned if pin not in sites] == []
 
 
 def test_tracer_installs_records_and_removes(spans):

@@ -1,9 +1,11 @@
 """Integer Laurent polynomial arithmetic, exact division, and gcd."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridhfk.errors import GridInputError
 from gridhfk.polynomials import LaurentPoly, divide_exact, gcd_z
 
 polys = st.dictionaries(
@@ -30,6 +32,19 @@ def test_zero_coefficients_are_dropped():
     assert not LaurentPoly.zero()
     assert LaurentPoly.one().coeffs == {0: 1}
     assert LaurentPoly.monomial(-4, 7).coeffs == {-4: 7}
+
+
+def test_integers_of_any_kind_are_taken_and_stored_as_int():
+    p = LaurentPoly({np.int64(2): np.int64(3), np.int32(-1): 1})
+    assert p.coeffs == {2: 3, -1: 1}
+    assert all(type(v) is int for term in p.coeffs.items() for v in term)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1.5}, {0: 2.0}, {1.0: 1}, {0: "1"},
+                                    {0: np.float64(1)}])
+def test_non_integers_are_refused_not_truncated(coeffs):
+    with pytest.raises(GridInputError, match="must be integers"):
+        LaurentPoly(coeffs)
 
 
 def test_small_arithmetic_examples():
@@ -64,13 +79,6 @@ def test_shift_and_reflect(p, k):
     if not p.is_zero():
         assert p.shift(k).min_exp() == p.min_exp() + k
         assert p.reflect().max_exp() == -p.min_exp()
-
-
-def test_symmetry_predicate():
-    assert LaurentPoly({1: 1, -1: 1}).is_symmetric()
-    assert LaurentPoly({2: 1, 0: -1, -2: 1}).is_symmetric()
-    assert not LaurentPoly({1: 1, 0: 1}).is_symmetric()
-    assert LaurentPoly.zero().is_symmetric()
 
 
 def test_content_and_cleared():
@@ -156,18 +164,20 @@ def test_format_full_exponents():
     assert LaurentPoly({1: -2, 0: 3}).format() == "-2*t + 3"
 
 
-def test_format_halved_exponents():
-    p = LaurentPoly({4: 2, 0: 1, -2: 1})
-    assert p.format(halved=True) == "2*t^2 + 1 + t^-1"
-    assert LaurentPoly({2: 1}).format(halved=True) == "t"
-    assert LaurentPoly({1: 1}).format(halved=True) == "t^1/2"
-    assert LaurentPoly({4: 1}).format("m", halved=True) == "m^2"
-
-
 @settings(max_examples=60, deadline=None)
 @given(polys)
 def test_json_round_trip(p):
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("key", ["01", "1.0", " 1", "1 ", "+1", "-0", "1_0",
+                                 "t", ""])
+def test_json_exponent_keys_must_be_canonical_integers(key):
+    # "01" beside "1" would name the exponent 1 twice, the last one winning.
+    with pytest.raises(GridInputError) as info:
+        LaurentPoly.from_json({"1": 1, key: 2}, "--poincare")
+    assert str(info.value).startswith("--poincare")
+    assert repr(key) in str(info.value)
 
 
 if __name__ == "__main__":

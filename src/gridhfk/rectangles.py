@@ -33,8 +33,9 @@ is reduced mod 2 by one ``np.unique(..., return_counts=True)`` over all
 passes.  This is the package's only use of such keys.  They wrap mod
 2^64, and from n = 17 two generators can share one, so a key hit is
 kept only when the target's row equals the moved source row (one gather
-and compare per pass), and every target of an equal-key run is tried:
-the entries are exact at every n.
+and compare per pass), and each hit walks on through the targets that
+share its key, trying each of them once: the entries are exact at every
+n.
 """
 
 from __future__ import annotations
@@ -98,8 +99,6 @@ def boundary_entries(counter, sources, targets, mode):
     keys = targets @ weights
     index = np.argsort(keys)
     keys = keys[index]
-    # Targets sharing a key lie within ``run`` places of the first of them.
-    run = 1 + int(np.count_nonzero(keys[1:] == keys[:-1]))
     span = len(targets)
     # Markings that may not lie inside a counted rectangle, as a flat
     # doubled prefix table indexed by column * stride + row.
@@ -108,7 +107,7 @@ def boundary_entries(counter, sources, targets, mode):
     # ahead[ci, t - 1] is the column t steps to the right of ci.
     ahead = (np.arange(n)[:, None] + np.arange(1, n)) % n
     step = max(1, _CHUNK // (n * (n - 1)))
-    pairs = []
+    pairs = [empty[0]]
     for lo in range(0, m, step):
         chunk = sources[lo:lo + step]
         rel = (chunk[:, ahead] - chunk[:, :, None]) % n
@@ -126,16 +125,23 @@ def boundary_entries(counter, sources, targets, mode):
         cj = c1[keep] % n
         b = chunk[x, cj]
         moved = (chunk @ weights)[x] + (b - a) * (weights[ci] - weights[cj])
-        first = np.searchsorted(keys, moved)
-        for d in range(run):
-            pos = np.minimum(first + d, len(keys) - 1)
-            hit = np.flatnonzero(keys[pos] == moved)
-            source, target = x[hit], index[pos[hit]]
+        # Walk each candidate along the run of targets sharing its key
+        # (one target unless keys collide, as they can from n = 17).
+        pos = np.searchsorted(keys, moved)
+        live = np.flatnonzero(pos < len(keys))
+        pos = pos[live]
+        while len(live):
+            hit = keys[pos] == moved[live]
+            live, pos = live[hit], pos[hit]
+            source, target = x[live], index[pos]
             # The moved row: the source with rows a and b swapped.
-            row, at = chunk[source], np.arange(len(hit))
-            row[at, ci[hit]], row[at, cj[hit]] = b[hit], a[hit]
+            row, at = chunk[source], np.arange(len(live))
+            row[at, ci[live]], row[at, cj[live]] = b[live], a[live]
             same = (targets[target] == row).all(axis=1)
             pairs.append((source[same] + lo) * span + target[same])
+            pos = pos + 1
+            more = pos < len(keys)
+            live, pos = live[more], pos[more]
     pairs, counts = np.unique(np.concatenate(pairs), return_counts=True)
     pairs = pairs[counts % 2 == 1]
     return pairs % span, pairs // span

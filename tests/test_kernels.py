@@ -176,7 +176,9 @@ def test_boundary_entries_are_exact_where_target_keys_collide():
     differs from s, p with its columns 0 and 1 swapped, in all 20
     places.  The swap is an empty rectangle on this grid, so s -> p is
     an entry and s -> q is not, in either mode and whichever of the two
-    colliding targets sorts first."""
+    colliding targets sorts first.  t, s with columns 5 and 6 swapped,
+    is an entry too, whose key sorts after the colliding pair: it is
+    found once, not once per target that shares a key."""
     n = 20
     p = np.array([1, 12, 14, 10, 8, 15, 6, 5, 16, 17, 2, 3, 4, 7, 19, 9, 0,
                   18, 11, 13], dtype=np.int64)
@@ -186,15 +188,19 @@ def test_boundary_entries_are_exact_where_target_keys_collide():
     assert p @ weights == q @ weights
     s = p[[1, 0, *range(2, n)]]
     assert np.all(s != q)
+    t = s[[*range(5), 6, 5, *range(7, n)]]
+    assert t @ weights > p @ weights
     calc = GradingCalculator(make_grid([(r - 1) % n for r in range(n)],
                                        [(r - 2) % n for r in range(n)]))
     for mode in (MODE_LEVEL, MODE_FILTERED):
         rows, cols = boundary_entries(calc.rectangles, s[None], q[None], mode)
         assert len(rows) == len(cols) == 0, mode
-        for targets, want in (([p], 0), ([q, p], 1), ([p, q], 0)):
+        for targets, want in (([p], [0]), ([q, p], [1]), ([p, q], [0]),
+                              ([q, p, t], [1, 2]), ([t, p, q], [0, 1])):
             rows, cols = boundary_entries(calc.rectangles, s[None],
                                           np.stack(targets), mode)
-            assert (rows.tolist(), cols.tolist()) == ([want], [0]), mode
+            assert (rows.tolist(), cols.tolist()) == (want, [0] * len(want)), \
+                mode
 
 
 def _reachable_by_brute_force(g, grading, mask, shift, base):

@@ -500,6 +500,8 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
     report = RunReport(command=list(argv))
     start = time.perf_counter()
     try:
+        if args.max_generators < 0:
+            raise GridInputError(f"--max-generators {args.max_generators} is negative")
         code = COMMANDS[args.cmd](args, report, out)
     except GridResourceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)

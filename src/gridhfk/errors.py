@@ -3,12 +3,16 @@
 Input problems (bad marking data, malformed files, wrong link class)
 derive from GridInputError so the CLI can map them to one exit code;
 GridResourceError marks aborted oversized runs, and the remaining
-types flag internal consistency failures.  ``json_field`` is the one
-type check of a field read from a JSON input (case files, ledger
-files, ``--poincare``).
+types flag internal consistency failures.  ``read_input`` is the one
+read of an input file (grids, case files, ledger files), and
+``json_field`` is the one type check of a field read from a JSON input
+(case files, ledger files, ``--poincare``).
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class GridHfkError(Exception):
@@ -75,3 +79,17 @@ def json_field(obj: dict, key: str, kind: type, label: str, default=None):
         raise GridInputError(f"{label}: '{key}' must be {_KINDS[kind]}, "
                              f"got {value!r}")
     return value
+
+
+def read_input(path, parse=str):
+    """``parse`` of the UTF-8 text of an input file.  GridInputError
+    names the path when the text does not decode or, with ``json.loads``
+    as ``parse``, is not JSON, and then gives the line and column."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GridInputError(f"{path}: not UTF-8 text (byte "
+                             f"0x{exc.object[exc.start]:02x} at offset {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise GridInputError(f"{path}: not valid JSON at line {exc.lineno} "
+                             f"column {exc.colno} ({exc.msg})") from None

@@ -9,11 +9,13 @@ and every routine takes the grid's GradingCalculator.  The full set
 of n! generators is listed only by ``enumerate_all``, which no command
 calls.
 
-Both gradings are sums of per-move terms over (column, used-row mask):
-placing row r in column c adds fa[c][r] to alex2, and fm[c][r] / 2
-plus the rows of the mask below r (the new increasing pairs) to
-maslov2 / 2.  ``graded_generators`` reads an exact completion table of
-that sum, built once per grading and cached on the GradingCalculator:
+Both gradings are sums of per-move terms over (column, used-row mask),
+which the calculator's ``alex_terms()`` and ``maslov_terms()`` give
+halved: placing row r in column c adds its Alexander shift to
+(alex2 - floor) / 2, and its Maslov shift plus the rows of the mask
+below r (the new increasing pairs) to (maslov2 - base) / 2.
+``graded_generators`` reads an exact completion table of that sum,
+built once per grading and cached on the GradingCalculator:
 for every mask, the values the free rows can still add, as a bitset of
 little-endian uint64 words.  The table is filled from the full mask
 down, one column at a time: each mask ORs in its children's bitsets,
@@ -29,8 +31,9 @@ is entered and an empty level costs one table lookup.
 characteristic) of every level without listing a generator, by the
 same pull from the full mask down over the same ``_column_moves``:
 each mask carries its completions' counts per sign parity, indexed by
-the halved Alexander offsets of the alex table, and a column is one
-gather and one sum (in fixed-size passes over parents), n steps in all.
+the halved Alexander offsets of the alex table, with the signs taken
+from ``maslov_terms()``, and a column is one gather and one sum (in
+fixed-size passes over parents), n steps in all.
 
 Every enumeration routine takes a generator budget and raises
 GridResourceError once it would list more than that many rows: graded
@@ -132,19 +135,11 @@ def _set_bits(words):
 
 def _build_completion_table(calc, grading):
     n = calc.n
-    if grading == "alex":
-        shift, base, width = calc.alex_terms()
-        inversions = False
-    elif grading == "maslov":
-        # maslov2 / 2 adds fm[c][r] / 2 plus the new increasing pairs.
-        half_fm = calc.fm // 2
-        lo = half_fm.min(axis=1)
-        shift = half_fm - lo[:, None]
-        base = 2 * int(lo.sum()) + calc.maslov_const
-        inversions = True
-        width = int(shift.max(axis=1).sum()) + 1 + n * (n - 1) // 2
-    else:
+    terms = {"alex": calc.alex_terms, "maslov": calc.maslov_terms}
+    if grading not in terms:
         raise ValueError(f"unknown grading {grading!r}")
+    shift, base, width = terms[grading]()
+    inversions = grading == "maslov"
     # A move adds at most n, plus n - 1 pairs: under 64 for any n whose
     # 2^n masks fit in memory.
     reach = np.zeros((-(-width // 64), 1 << n), dtype=np.uint64)
@@ -235,8 +230,9 @@ def level_counts(calc):
     number of completions of its free rows whose sign flips an even and
     an odd number of times.  A mask with c bits sums its children's
     rows, each shifted right by shift[c][r] and with the two parities
-    swapped when the move flips the sign: when fm[c][r] / 2 plus the
-    mask's rows below r (the new increasing pairs) is odd.  One column
+    swapped when the move flips the sign: when the Maslov shift of
+    ``maslov_terms()`` plus the mask's rows below r (the new increasing
+    pairs) is odd, the sign of base / 2 applying to all.  One column
     is one gather and one sum, in passes of ``_PASS`` parents; the work
     is about n 2^n width additions, the memory two popcount layers of
     masks.  The counts are int64, which holds n! up to n = 20; larger
@@ -247,6 +243,7 @@ def level_counts(calc):
         raise GridResourceError(f"level counts of {n}! generators overflow int64",
                                 estimate=math.factorial(n))
     shift, floor, width = calc.alex_terms()
+    flip, base, _ = calc.maslov_terms()
     # A mask's row is [pad | even (width) | pad | odd (width)]: a window
     # shifted right reads zeros from the pad in front of it.
     pad = int(shift.max())
@@ -254,7 +251,7 @@ def level_counts(calc):
     # start[c, r, k, s]: where, in its child's row, the window of the
     # parent's slot s (0 even, 1 odd) starts for the move placing row r
     # in column c above k rows of the mask.
-    flips = (calc.fm // 2)[:, :, None, None] + np.arange(n)[:, None] + np.arange(2)
+    flips = flip[:, :, None, None] + np.arange(n)[:, None] + np.arange(2)
     start = (pad - shift)[:, :, None, None] + half * (flips & 1)
     moves = _column_moves(n)
     # Where each mask's row begins in the flat array of its layer.
@@ -276,7 +273,7 @@ def level_counts(calc):
         counts = out.ravel()
     even, odd = counts[pad:half], counts[half + pad:]
     total = even + odd
-    sign = -1 if calc.maslov_const // 2 % 2 else 1
+    sign = -1 if base // 2 % 2 else 1
     return {floor + 2 * i: (int(total[i]), sign * int(even[i] - odd[i]))
             for i in np.flatnonzero(total).tolist()}
 

@@ -18,8 +18,14 @@ counted by a boundary operator drops maslov2 by exactly 2 and alex2 by
 
 The doubled Alexander grading splits as a sum of one contribution per
 generator point plus a grid constant, and maslov2 / 2 as such a sum plus
-the count of increasing pairs; the enumeration module builds its
-completion tables from these terms and caches them on the calculator.
+the count of increasing pairs.  The per-point tables are read off the
+rectangle counter's prefix counts: with sw[c, r] the markings of one set
+southwest of (c, r), a grid's one marking per row and per column puts
+n - c - r + sw[c, r] of them weakly northeast, so the Alexander table
+fa = 2 (sw_X - sw_O) is even by construction.  ``alex_terms`` and
+``maslov_terms`` halve these tables into move terms, which the
+enumeration module builds its completion tables from (caching them on
+the calculator) and ``level_counts`` reads its levels and signs from.
 
 The calculator is the one per-grid object below the entry points of
 ``homology`` and ``invariants``: it holds the grading tables, the
@@ -38,40 +44,6 @@ from .grids import count_components
 from .rectangles import RectangleCounter
 
 
-def _pair_tables(cols, n):
-    """Counts of markings weakly northeast / strictly southwest of (c, r).
-
-    For a marking set placed at (cols[r] + 1/2, r + 1/2), entry [c, r] of
-    the first table counts markings m with m_col >= c and m_row >= r;
-    the second counts m_col < c and m_row < r.  Both are (n+1, n+1) so
-    that lookups at c+1 or r+1 stay in range.
-    """
-    ne = np.zeros((n + 1, n + 1), dtype=np.int64)
-    sw = np.zeros((n + 1, n + 1), dtype=np.int64)
-    board = np.zeros((n, n), dtype=np.int64)
-    for r, c in enumerate(cols):
-        board[c, r] = 1
-    # ne[c, r] = sum of board[c:, r:]; sw[c, r] = sum of board[:c, :r].
-    suf = np.cumsum(np.cumsum(board[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-    ne[:n, :n] = suf
-    pre = np.cumsum(np.cumsum(board, axis=0), axis=1)
-    sw[1:, 1:] = pre
-    return ne, sw
-
-
-def _marking_self_pairs(cols):
-    n = len(cols)
-    rows_by_col = [0] * n
-    for r, c in enumerate(cols):
-        rows_by_col[c] = r
-    count = 0
-    for c1 in range(n):
-        for c2 in range(c1 + 1, n):
-            if rows_by_col[c1] < rows_by_col[c2]:
-                count += 1
-    return count
-
-
 class GradingCalculator:
     """Precomputed tables of one grid: the batch graders' per-point
     tables, the enumeration's completion tables and the rectangle
@@ -81,23 +53,28 @@ class GradingCalculator:
         n = grid.n
         self.n = n
         self.components = count_components(grid)
+        self.rectangles = RectangleCounter(grid)
 
-        x_ne, x_sw = _pair_tables(grid.x_cols, n)
-        o_ne, o_sw = _pair_tables(grid.o_cols, n)
-        i_oo = _marking_self_pairs(grid.o_cols)
-        i_xx = _marking_self_pairs(grid.x_cols)
+        # sw[c, r] counts the markings southwest of (c, r): column < c and
+        # row < r.  One marking per row and per column makes the count
+        # weakly northeast n - c - r + sw[c, r], and a marking set's
+        # self-pairing I(O, O) the sum of sw at its own cells.
+        rows = np.arange(n)
+        o_sw = self.rectangles.o_prefix[:n, :n]
+        x_sw = self.rectangles.x_prefix[:n, :n]
+        i_oo = int(o_sw[grid.o_cols, rows].sum())
+        i_xx = int(x_sw[grid.x_cols, rows].sum())
 
         # alex2(x) = sum_c fa[c, perm[c]] + alex_const
-        self.fa = (x_ne[: n, : n] + x_sw[: n, : n]) - (o_ne[: n, : n] + o_sw[: n, : n])
+        self.fa = 2 * (x_sw - o_sw)
         self.alex_const = i_oo - i_xx - (n - self.components)
 
         # maslov2(x) = 2 I(x, x) + sum_c fm[c, perm[c]] + maslov_const
-        self.fm = -2 * (o_ne[: n, : n] + o_sw[: n, : n])
+        self.fm = -2 * (n - rows[:, None] - rows + 2 * o_sw)
         self.maslov_const = 2 * i_oo + 2
 
         # Completion tables of the enumeration, built on first use.
         self.completion_tables = {}
-        self.rectangles = RectangleCounter(grid)
 
     def alex2_batch(self, perms):
         """alex2 for an (m, n) array of permutations (any integer dtype)."""
@@ -131,16 +108,31 @@ class GradingCalculator:
     def alex_terms(self):
         """The halved Alexander move terms: (shift, floor, width).
 
-        Placing row r in column c adds fa[c][r] to alex2, and within a
-        column these share one parity, so
-        alex2 = floor + 2 sum_c shift[c][perm[c]], with shift >= 0 and
-        the sum below ``width``.  The enumeration's alex completion
+        Placing row r in column c adds fa[c][r] to alex2, and fa is even,
+        so alex2 = floor + 2 sum_c shift[c][perm[c]], with shift >= 0
+        and the sum below ``width``.  The enumeration's alex completion
         table and ``level_counts`` both index levels by that sum.
         """
         lo = self.fa.min(axis=1)
         shift = (self.fa - lo[:, None]) // 2
         return (shift, int(lo.sum()) + self.alex_const,
                 int(shift.max(axis=1).sum()) + 1)
+
+    def maslov_terms(self):
+        """The halved Maslov move terms: (shift, base, width).
+
+        Placing row r in column c after the rows of a mask adds fm[c][r]
+        / 2 plus the mask's rows below r (the new increasing pairs) to
+        maslov2 / 2, so maslov2 = base + 2 (sum_c shift[c][perm[c]] +
+        increasing pairs), with shift >= 0 and the sum below ``width``.
+        The enumeration's Maslov completion table and the signs of
+        ``level_counts`` both read these terms.
+        """
+        half = self.fm // 2
+        lo = half.min(axis=1)
+        shift = half - lo[:, None]
+        return (shift, 2 * int(lo.sum()) + self.maslov_const,
+                int(shift.max(axis=1).sum()) + 1 + self.n * (self.n - 1) // 2)
 
     def level_floor(self):
         """A lower bound for alex2 over all generators (relaxed assignment)."""

@@ -27,6 +27,7 @@ from .errors import (
     MarkingCollision,
     NotAPermutation,
     SizeMismatch,
+    read_input,
 )
 
 CORPUS_ENV_VAR = "HFK_CORPUS"
@@ -329,8 +330,7 @@ def _parse_marking_line(line, label, source, lineno):
 
 def load_grid(path):
     """Read and validate a grid file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid(fh.read(), source=str(path))
+    return parse_grid(read_input(path), source=str(path))
 
 
 def format_grid(grid, comments=()):

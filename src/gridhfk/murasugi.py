@@ -41,6 +41,7 @@ from .errors import (
     NegativeIndex,
     UnsupportedQ,
     json_field,
+    read_input,
 )
 from .generators import DEFAULT_MAX_GENERATORS
 from .grids import (
@@ -292,7 +293,7 @@ def load_case(path) -> tuple[MurasugiCase, dict]:
     fit the schema raises GridInputError.
     """
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = read_input(path, json.loads)
     if not isinstance(data, dict):
         raise GridInputError(f"{path.name}: a case file must hold a JSON "
                              f"object, got {type(data).__name__}")

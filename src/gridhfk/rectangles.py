@@ -21,7 +21,10 @@ that height, so the rectangle misses them exactly when rel[w] is below
 min(rel[1 .. w - 1]): one ``np.minimum.accumulate`` along t finds every
 point-free rectangle of a source.  Marking counts inside those come
 from prefix sums over a doubled board, read by flat fancy indexing; the
-grid's RectangleCounter holds one such flat table per boundary mode.
+grid's RectangleCounter holds one such table per marking set and one
+flat table per boundary mode.  The marking-set tables also feed the
+gradings: the GradingCalculator reads its per-point tables off them, so
+each marking set's table is built once per grid.
 
 ``boundary_entries`` runs over all (source, ci, width) triples at once,
 in passes of at most ``_CHUNK`` triples, so memory stays flat whatever
@@ -62,19 +65,24 @@ def _doubled_prefix(cols, n):
 
 
 class RectangleCounter:
-    """Per-grid flat tables of the markings a counted rectangle must miss.
+    """Per-grid prefix tables of the O and X markings.
 
-    ``marks[mode]`` is the doubled prefix table of those markings for one
-    boundary mode, raveled so that entry c * (2n + 1) + r counts them in
-    [0, c) x [0, r): the O markings for MODE_FILTERED, the O and X
+    ``o_prefix`` and ``x_prefix`` are the doubled prefix tables of one
+    marking set each: entry [c, r] counts its markings in [0, c) x
+    [0, r) of the board tiled 2x2, and restricted to [0, n]^2 it counts
+    those southwest of (c, r), which is what the gradings read.
+    ``marks[mode]`` is the table of the markings a counted rectangle
+    must miss in one boundary mode, raveled so that entry c * (2n + 1)
+    + r is [c, r]: the O markings for MODE_FILTERED, the O and X
     markings for MODE_LEVEL.
     """
 
     def __init__(self, grid):
         self.n = grid.n
-        po = _doubled_prefix(grid.o_cols, grid.n)
-        px = _doubled_prefix(grid.x_cols, grid.n)
-        self.marks = {MODE_FILTERED: po.ravel(), MODE_LEVEL: (po + px).ravel()}
+        self.o_prefix = _doubled_prefix(grid.o_cols, grid.n)
+        self.x_prefix = _doubled_prefix(grid.x_cols, grid.n)
+        self.marks = {MODE_FILTERED: self.o_prefix.ravel(),
+                      MODE_LEVEL: (self.o_prefix + self.x_prefix).ravel()}
 
 
 def boundary_entries(counter, sources, targets, mode):

@@ -109,6 +109,24 @@ def test_compute_resource_bound_is_exit_3():
     assert code2 == 3 and err2 == err
 
 
+def test_negative_budget_is_an_input_error():
+    # A budget of 0 is legal (it fails on the first level, exit 3); a
+    # negative one is refused before any command runs.
+    code, _, err = invoke("compute", "corpus:trefoil5", "--max-generators", "-1")
+    assert code == 2
+    assert err == "GridInputError: --max-generators -1 is negative\n"
+    code, _, _ = invoke("compute", "corpus:trefoil5", "--max-generators", "0")
+    assert code == 3
+
+
+def test_undecodable_grid_file_is_named(tmp_path):
+    bad = tmp_path / "bad.grid"
+    bad.write_bytes(b"3\nX: 0 1 2\nO: 1 2 \xff\n")
+    code, _, err = invoke("compute", str(bad))
+    assert code == 2
+    assert err == f"GridInputError: {bad}: not UTF-8 text (byte 0xff at offset 18)\n"
+
+
 def test_compute_json_report_round_trips(tmp_path):
     code, out, _ = invoke("--json", "compute", "corpus:trefoil5", "--hat")
     assert code == 0
@@ -230,6 +248,16 @@ def test_murasugi_without_input_is_exit_2():
     code, _, err = invoke("murasugi")
     assert code == 2
     assert "case file or --connect" in err
+
+
+def test_truncated_case_file_is_named(tmp_path):
+    bad = tmp_path / "cut.json"
+    bad.write_text('{"name": ')
+    code, _, err = invoke("murasugi", str(bad))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"GridInputError: {bad}: ")
+    assert "line 1 column 10" in err
 
 
 def test_murasugi_top_level_list_case_is_exit_2(tmp_path):
@@ -418,6 +446,15 @@ def test_ledger_add_from_grid_respects_the_budget(ledger_file):
                           "corpus:trefoil5")
     assert code == 3
     assert len(err.strip().splitlines()) == 1
+
+
+def test_truncated_ledger_file_is_named(ledger_file):
+    with open(ledger_file, "w") as fh:
+        fh.write('{"entries": ')
+    code, _, err = invoke("ledger", "--file", ledger_file, "show")
+    assert code == 2
+    assert err == (f"GridInputError: {ledger_file}: not valid JSON at line 1 "
+                   f"column 13 (Expecting value)\n")
 
 
 def test_ledger_error_paths(ledger_file):

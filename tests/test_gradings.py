@@ -28,7 +28,7 @@ def test_two_by_two_unknot_frozen_values():
 def test_gradings_match_oracle_randomized():
     rng = np.random.default_rng(11)
     for _ in range(150):
-        g = random_grid(rng, int(rng.integers(2, 8)))
+        g = random_grid(rng, int(rng.integers(2, 12)))
         calc = GradingCalculator(g)
         for _ in range(3):
             p = tuple(int(v) for v in rng.permutation(g.n))
@@ -47,6 +47,27 @@ def test_batch_gradings_match_scalar():
         for p, (m2, a2) in zip(perms.tolist(), _gradings(calc, perms)):
             assert m2 == oracle_maslov2(g.x_cols, g.o_cols, p)
             assert a2 == oracle_alex2(g.x_cols, g.o_cols, p)
+
+
+def test_move_terms_sum_to_the_batch_gradings():
+    # alex2 = floor + 2 (sum of shifts) and maslov2 = base + 2 (sum of
+    # shifts + increasing pairs), on every generator of each grid.
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        g = random_grid(rng, int(rng.integers(2, 7)))
+        calc = GradingCalculator(g)
+        perms = np.array(list(permutations(range(g.n))))
+        cols = np.arange(g.n)
+        pairs = sum((perms[:, c1] < perms[:, c2]).astype(np.int64)
+                    for c1 in range(g.n) for c2 in range(c1 + 1, g.n))
+        shift, floor, width = calc.alex_terms()
+        moved = shift[cols, perms].sum(axis=1)
+        assert moved.max() < width
+        assert (floor + 2 * moved == calc.alex2_batch(perms)).all()
+        shift, base, width = calc.maslov_terms()
+        moved = shift[cols, perms].sum(axis=1) + pairs
+        assert moved.max() < width
+        assert (base + 2 * moved == calc.maslov2_batch(perms)).all()
 
 
 def test_maslov2_is_always_even():

@@ -33,6 +33,7 @@ from .errors import (
     GridResourceError,
     InconsistentComplex,
     NotDivisible,
+    parse_json,
 )
 from .generators import (
     DEFAULT_MAX_GENERATORS,
@@ -207,6 +208,10 @@ def cmd_compute(args, report, out) -> int:
 
 
 def _working_side(side: CaseSide, label: str, report: RunReport) -> CaseSide:
+    """The side on its working grid; the digest of the grid file a case
+    file named goes to ``report.inputs[label]``."""
+    if side.path is not None:
+        report.inputs[label] = _digest(side.path)
     return dataclasses.replace(side, grid=_working(side.grid, label, report))
 
 
@@ -283,6 +288,9 @@ def cmd_ledger(args, report, out) -> int:
             print(f"seeded {len(added)} entries into {ledger_path}", file=out)
 
     elif sub == "add":
+        if args.grid and (args.poincare is not None or args.b1 is not None):
+            raise GridInputError(
+                "ledger add takes --grid, or --poincare with --b1, not both")
         if args.grid:
             grid, path = _grid_input(args.grid, "grid", report)
             entry = entry_from_grid(args.name, grid, str(path),
@@ -291,8 +299,8 @@ def cmd_ledger(args, report, out) -> int:
             if args.poincare is None or args.b1 is None:
                 raise GridInputError(
                     "ledger add needs --grid, or --poincare with --b1")
-            poly = LaurentPoly.from_json(json.loads(args.poincare),
-                                         "--poincare")
+            poly = LaurentPoly.from_json(
+                parse_json(args.poincare, "--poincare"), "--poincare")
             entry = LedgerEntry(args.name, poly, args.b1, "literature")
         ledger.add(entry)
         save_ledger(ledger, ledger_path)
@@ -515,8 +523,7 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=err)
         return 2
-    except (GridInputError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (GridInputError, OSError, KeyError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return 2
     report.wall_time = round(time.perf_counter() - start, 3)

@@ -4,9 +4,9 @@ Input problems (bad marking data, malformed files, wrong link class)
 derive from GridInputError so the CLI can map them to one exit code;
 GridResourceError marks aborted oversized runs, and the remaining
 types flag internal consistency failures.  ``read_input`` is the one
-read of an input file (grids, case files, ledger files), and
-``json_field`` is the one type check of a field read from a JSON input
-(case files, ledger files, ``--poincare``).
+read of an input file (grids, case files, ledger files), ``parse_json``
+the one parse of JSON input (case files, ledger files, ``--poincare``),
+and ``json_field`` the one type check of a field read from it.
 """
 
 from __future__ import annotations
@@ -81,15 +81,22 @@ def json_field(obj: dict, key: str, kind: type, label: str, default=None):
     return value
 
 
-def read_input(path, parse=str):
-    """``parse`` of the UTF-8 text of an input file.  GridInputError
-    names the path when the text does not decode or, with ``json.loads``
-    as ``parse``, is not JSON, and then gives the line and column."""
+def read_input(path):
+    """The UTF-8 text of an input file.  GridInputError names the path
+    when the text does not decode."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GridInputError(f"{path}: not UTF-8 text (byte "
                              f"0x{exc.object[exc.start]:02x} at offset {exc.start})") from None
+
+
+def parse_json(text, label):
+    """The JSON value of ``text``.  GridInputError names ``label`` (a
+    file or an option) and gives the line and column when it is not
+    JSON."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GridInputError(f"{path}: not valid JSON at line {exc.lineno} "
+        raise GridInputError(f"{label}: not valid JSON at line {exc.lineno} "
                              f"column {exc.colno} ({exc.msg})") from None

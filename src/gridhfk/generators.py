@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .errors import GridResourceError
+from .errors import GridResourceError, InconsistentComplex
 
 DEFAULT_MAX_GENERATORS = 100_000_000
 
@@ -236,7 +236,8 @@ def level_counts(calc):
     is one gather and one sum, in passes of ``_PASS`` parents; the work
     is about n 2^n width additions, the memory two popcount layers of
     masks.  The counts are int64, which holds n! up to n = 20; larger
-    grids raise GridResourceError before anything is allocated.
+    grids raise GridResourceError before anything is allocated.  The
+    counts must sum to n!, or InconsistentComplex is raised.
     """
     n = calc.n
     if n > 20:
@@ -274,8 +275,13 @@ def level_counts(calc):
     even, odd = counts[pad:half], counts[half + pad:]
     total = even + odd
     sign = -1 if base // 2 % 2 else 1
-    return {floor + 2 * i: (int(total[i]), sign * int(even[i] - odd[i]))
-            for i in np.flatnonzero(total).tolist()}
+    levels = {floor + 2 * i: (int(total[i]), sign * int(even[i] - odd[i]))
+              for i in np.flatnonzero(total).tolist()}
+    size = sum(count for count, _ in levels.values())
+    if size != math.factorial(n):
+        raise InconsistentComplex(f"the level counts sum to {size}, "
+                                  f"not {n}! = {math.factorial(n)}")
+    return levels
 
 
 def generators_in_level(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS):

@@ -5,9 +5,13 @@ every function here: ``int.bit_length`` finds the leading bit and ``^``
 adds two vectors, both native.  A subspace is held as an echelon basis,
 a plain dict mapping each leading (highest set) bit to its basis vector,
 grown by ``insert``.  That one structure answers everything the
-homology layer needs: ranks, kernels, and echelon spans whose
-leading-bit positions reveal membership facts such as "which part of
-the image lies inside a chosen coordinate subspace".
+homology layer needs, which is ranks: ``matrix_rank`` per Maslov block,
+and ``image_in_prefix``, whose leading-bit positions tell which part of
+an image lies inside a chosen coordinate subspace.  Those two are the
+only ones the package calls.  ``kernel_basis`` and
+``span_intersection_dim`` stay as references for the tests, which
+recompute τ's slice terms from cycles with them, and as sites that
+perfbench's traced run wraps.
 
 Sparse matrices arrive as (row, column) entry arrays and are eliminated
 column by column; each column's int is built only when the elimination

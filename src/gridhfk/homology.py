@@ -10,7 +10,8 @@ passed as an array of generators.
 The level complex at doubled Alexander grading s is spanned by the
 generators of that level with the boundary counting rectangles empty of
 all markings; it splits along maslov2 into blocks mapping m2 -> m2 - 2,
-so ranks per bigrading fall out of two sparse eliminations per block.
+so ranks per bigrading fall out of one sparse elimination per block,
+the rank out of it (``_block_ranks``, which τ's window shares).
 
 The full table is built from the bottom tail of levels.  The tilde
 homology is the hat tensored with (F2 + F2[-1,-1])^k, k = n - l, so
@@ -48,13 +49,14 @@ test: a generator of the full complex lies outside exactly when its
 alex2 is above the window's.  The rank of the map on homology induced by
 the inclusion is computed per Maslov slice as
 
-    dim Z_S - dim(Z_S  intersect  image of the full boundary)
+    dim Z_S - dim(B  intersect  S),   B the image of the full boundary,
 
-with the image intersected against the subcomplex coordinates by an
-elimination whose bit order lists subcomplex generators first, in the
-order of the subcomplex's own slice.  Every vector is a Python-int
-bitset as ``gf2`` takes and returns it, so a kernel tag of the
-subcomplex is already its cycle as a vector of the full slice.  Slices
+which is dim Z_S - dim(Z_S intersect B): S is a subcomplex and the
+boundary squares to zero, so a boundary lying in S is a cycle of S.
+Both terms are ranks.  dim Z_S is the window block's size less the rank
+out of it, from the same block ranks as the level tables, and
+dim(B intersect S) counts the pivots of one elimination of the image
+whose bit order lists the window's generators first.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
 vanishes there and the induced map contributes nothing.  Every
@@ -159,51 +161,46 @@ def verify_d2(rows, cols, size):
         raise InconsistentComplex(f"d^2 != 0 from generator {int(odd[0]) // size}")
 
 
-def _maslov_blocks(maslov2, rows, cols):
-    """Split a boundary that lowers maslov2 by 2 into its Maslov blocks.
+def _block_ranks(lc):
+    """{maslov2: (block size, rank of the boundary out of the block)}, in
+    increasing maslov2, of a complex whose boundary lowers maslov2 by 2.
 
-    ``maslov2`` must be sorted, so each block is a contiguous run of
-    generators.  Yields (m2, block, n_targets, rows, cols) per block in
-    increasing m2: ``block`` is the slice of the block's generators,
-    ``n_targets`` the size of block m2 - 2 (0 when there is none), and
-    the entries out of the block come with their sources counted from
-    the start of the block and their targets from the start of block
-    m2 - 2.  The entries are bucketed with one stable sort.
+    ``lc.maslov2`` must be sorted, so each block is a contiguous run of
+    generators.  The entries are bucketed by source block with one stable
+    sort, their sources counted from the start of the block and their
+    targets from the start of block m2 - 2, and every block with entries
+    is one ``gf2.matrix_rank``.
     """
-    values, starts = np.unique(maslov2, return_index=True)
-    ends = np.append(starts[1:], len(maslov2))
-    src_block = np.searchsorted(values, maslov2[cols])
+    values, starts, sizes = np.unique(lc.maslov2, return_index=True,
+                                      return_counts=True)
+    src_block = np.searchsorted(values, lc.maslov2[lc.cols])
     order = np.argsort(src_block, kind="stable")
     src_block = src_block[order]
     tgt_block = np.searchsorted(values, values[src_block] - 2)
-    cols = cols[order] - starts[src_block]
-    rows = rows[order] - starts[tgt_block]
+    cols = lc.cols[order] - starts[src_block]
+    rows = lc.rows[order] - starts[tgt_block]
     bounds = np.searchsorted(src_block, np.arange(len(values) + 1)).tolist()
-    index = {v: i for i, v in enumerate(values.tolist())}
-    for i, v in enumerate(values.tolist()):
-        t = index.get(v - 2)
-        n_targets = int(ends[t] - starts[t]) if t is not None else 0
+    blocks = {}
+    for i, (m2, size) in enumerate(zip(values.tolist(), sizes.tolist())):
         lo, hi = bounds[i], bounds[i + 1]
-        yield (v, slice(int(starts[i]), int(ends[i])), n_targets,
-               rows[lo:hi], cols[lo:hi])
+        out = 0
+        if hi > lo:
+            out = gf2.matrix_rank(rows[lo:hi], cols[lo:hi],
+                                  int(sizes[tgt_block[lo]]), size)
+        blocks[m2] = (size, out)
+    return blocks
 
 
 def level_homology_ranks(lc):
     """Homology ranks of one level complex, keyed by maslov2.
 
     The boundary maps the maslov2 = m block into m - 2; the rank at m is
-    dim(block) - rank(out of m) - rank(into m).
+    dim(block) - rank(out of m) - rank(out of m + 2).
     """
-    sizes = {}
-    block_rank = {}
-    for m2, block, n_targets, rows, cols in _maslov_blocks(lc.maslov2, lc.rows,
-                                                           lc.cols):
-        sizes[m2] = block.stop - block.start
-        if len(cols):
-            block_rank[m2] = gf2.matrix_rank(rows, cols, n_targets, sizes[m2])
+    blocks = _block_ranks(lc)
     ranks = {}
-    for m2, size in sizes.items():
-        r = size - block_rank.get(m2, 0) - block_rank.get(m2 + 2, 0)
+    for m2, (size, out) in blocks.items():
+        r = size - out - blocks.get(m2 + 2, (0, 0))[1]
         if r:
             ranks[m2] = r
     return ranks
@@ -401,21 +398,6 @@ def two_step_from_levels(calc, levels):
                         cols=position[np.concatenate(cols)])
 
 
-def _sub_cycles_by_maslov(filt):
-    """Kernel bases of the filtered boundary on the subcomplex, per maslov2.
-
-    Maps m2 to (generators of the slice, kernel vectors over them) for
-    every slice with a nonzero kernel.
-    """
-    cycles = {}
-    for m2, block, n_targets, rows, cols in _maslov_blocks(
-            filt.maslov2, filt.rows, filt.cols):
-        kern = gf2.kernel_basis(rows, cols, n_targets, block.stop - block.start)
-        if kern:
-            cycles[m2] = (filt.gens[block], kern)
-    return cycles
-
-
 def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     """Per-slice terms of the rank of H(sub) -> H(full), lowest slice first.
 
@@ -424,40 +406,34 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     ``build_two_step`` and ``two_step_from_levels`` build it.
 
     Yields, for every needed Maslov slice m2 in increasing order, the
-    number dim Z_S - dim(Z_S meet B) >= 0, where Z_S is the cycle space
+    number dim Z_S - dim(B meet S) >= 0, where Z_S is the cycle space
     of the subcomplex in slice m2 and B the image of the full filtered
-    boundary from slice m2 + 2; the rank is their sum.  The needed m2
-    are those where Z_S is nonzero and the target homology can be
-    nonzero.  A slice's generators, and those of the slice m2 + 2 above
-    it, are enumerated only when the slice is reached, so a consumer
-    that stops early never lists the slices above, and the budget
-    bounds the slices visited and not n!.
+    boundary from slice m2 + 2; the rank is their sum.  A boundary in S
+    is a cycle of S, so B meet S is Z_S meet B.  dim Z_S is the window
+    block's size less its rank, and dim(B meet S) the number of image
+    pivots under the prefix of window generators.  The needed m2 are
+    those where Z_S is nonzero and the target homology can be nonzero.
+    A slice's generators, and those of the slice m2 + 2 above it, are
+    enumerated only when the slice is reached, so a consumer that stops
+    early never lists the slices above, and the budget bounds the slices
+    visited and not n!.
     """
-    if len(filt.gens) == 0:
-        return
-    cycles = _sub_cycles_by_maslov(filt)
     window_lo = -2 * (calc.n - 1)
-
-    for m2 in sorted(cycles):
-        if not window_lo <= m2 <= 0:
+    for m2, (size, out) in _block_ranks(filt).items():
+        if size == out or not window_lo <= m2 <= 0:
             continue
-        members, kern = cycles[m2]
         pair = graded_generators(calc, "maslov", {m2, m2 + 2}, max_generators)
         pair_m2 = calc.maslov2_batch(pair)
-        # The full slice at m2 with the subcomplex generators first, in
-        # the order of the kernel tags, so that bit k of a tag and of an
-        # image vector stand for the same generator (low bits).
+        # The full slice at m2 with the window's generators first (low bits).
         slice_gens = pair[pair_m2 == m2]
-        outside = calc.alex2_batch(slice_gens) > filt.alex2
-        basis = np.concatenate([members, slice_gens[outside]])
+        inside = calc.alex2_batch(slice_gens) <= filt.alex2
+        basis = np.concatenate([slice_gens[inside], slice_gens[~inside]])
 
         sources = pair[pair_m2 == m2 + 2]
         rows, cols = boundary_entries(calc.rectangles, sources, basis,
                                       MODE_FILTERED)
-        image_vectors = gf2.image_in_prefix(rows, cols, len(basis),
-                                            len(sources), len(members))
-        meet = gf2.span_intersection_dim(kern, image_vectors, len(members))
-        yield len(kern) - meet
+        meet = gf2.image_in_prefix(rows, cols, len(basis), len(sources), size)
+        yield size - out - len(meet)
 
 
 def induced_map_rank(grid, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import GridInputError, json_field, read_input
+from .errors import GridInputError, json_field, parse_json, read_input
 from .generators import DEFAULT_MAX_GENERATORS
 from .polynomials import LaurentPoly, divide_exact, gcd_z
 
@@ -229,7 +229,7 @@ def load_ledger(path) -> Ledger:
     ledger = Ledger()
     if not path.exists():
         return ledger
-    data = read_input(path, json.loads)
+    data = parse_json(read_input(path), path)
     if not isinstance(data, dict):
         raise GridInputError(f"{path}: a ledger file must hold a JSON object")
     entries = data.get("entries", [])

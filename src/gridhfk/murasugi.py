@@ -27,7 +27,6 @@ levels; a disagreement raises IndexMismatch (the declared surface cannot
 have been minimal) instead of reporting a verdict.
 """
 
-import json
 import time
 # Unused here, but perfbench's traced run swaps this name in this module
 # for a pool that propagates spans; it raises KeyError when it is missing.
@@ -41,6 +40,7 @@ from .errors import (
     NegativeIndex,
     UnsupportedQ,
     json_field,
+    parse_json,
     read_input,
 )
 from .generators import DEFAULT_MAX_GENERATORS
@@ -82,6 +82,7 @@ class CaseSide:
     grid: GridDiagram
     index2: int  # doubled index of the declared Seifert surface
     name: str = ""
+    path: Path | None = None  # the grid file a case file named, if any
 
     def __post_init__(self):
         if self.index2 < 0:
@@ -259,10 +260,10 @@ def cable_top_group_predict(p: int, q: int, knot_genus2: int,
 # case files
 
 
-def _resolve_grid(ref: str, base: Path) -> GridDiagram:
+def _resolve_grid(ref: str, base: Path) -> Path:
     if ref.startswith("corpus:"):
-        return load_grid(corpus_path(ref.split(":", 1)[1]))
-    return load_grid(base / ref)
+        return Path(corpus_path(ref.split(":", 1)[1]))
+    return base / ref
 
 
 def _load_side(obj: dict, base: Path, label: str) -> CaseSide | None:
@@ -270,14 +271,14 @@ def _load_side(obj: dict, base: Path, label: str) -> CaseSide | None:
         raise GridInputError(f"{label}: must be a JSON object, "
                              f"got {type(obj).__name__}")
     if "grid" in obj:
-        grid = _resolve_grid(json_field(obj, "grid", str, label), base)
+        path = _resolve_grid(json_field(obj, "grid", str, label), base)
     elif obj.get("construct") == "connected_sum":
         return None  # built later from the summands
     else:
         raise GridInputError(f"{label}: need a 'grid' reference or "
                              f"'construct': 'connected_sum'")
-    return CaseSide(grid, json_field(obj, "index2", int, label),
-                    json_field(obj, "name", str, label, label))
+    return CaseSide(load_grid(path), json_field(obj, "index2", int, label),
+                    json_field(obj, "name", str, label, label), path)
 
 
 def load_case(path) -> tuple[MurasugiCase, dict]:
@@ -293,7 +294,7 @@ def load_case(path) -> tuple[MurasugiCase, dict]:
     fit the schema raises GridInputError.
     """
     path = Path(path)
-    data = read_input(path, json.loads)
+    data = parse_json(read_input(path), path)
     if not isinstance(data, dict):
         raise GridInputError(f"{path.name}: a case file must hold a JSON "
                              f"object, got {type(data).__name__}")

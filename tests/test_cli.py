@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 
 from gridhfk.cli import DEFAULT_LEDGER, run
-from gridhfk.grids import corpus_path, load_corpus
+from gridhfk.grids import corpus_case_path, corpus_path, load_corpus
 
 from oracle import (
     oracle_alex2,
@@ -348,6 +348,29 @@ def test_murasugi_json_report():
     assert data["results"]["expected"] == {"theorem1": True, "theorem2": True}
 
 
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("case, grids", [
+    ("hopf_plumbing_trefoil", {"summand1": "hopf_plus4",
+                               "summand2": "hopf_plus4", "sum": "trefoil5"}),
+    ("trefoil_connected_sum", {"summand1": "trefoil5",
+                               "summand2": "trefoil5"}),
+])
+def test_murasugi_case_report_names_the_grid_files_it_read(case, grids):
+    """A constructed connected sum has no file and no entry."""
+    code, out, _ = invoke("--json", "murasugi", f"corpus:{case}")
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert list(inputs) == ["case", *grids]
+    assert inputs["case"]["sha256"] == _sha256(corpus_case_path(case))
+    for label, name in grids.items():
+        assert inputs[label] == {"path": corpus_path(name),
+                                 "sha256": _sha256(corpus_path(name))}
+
+
 # --------------------------------------------------------------------------
 # ledger
 
@@ -469,6 +492,29 @@ def test_ledger_error_paths(ledger_file):
     # add without data
     code, _, err = invoke("ledger", "--file", ledger_file, "add", "empty")
     assert code == 2 and "--grid" in err
+
+
+def test_ledger_add_poincare_that_is_not_json_names_the_option(ledger_file):
+    code, out, err = invoke("ledger", "--file", ledger_file, "add", "x",
+                            "--poincare", "{", "--b1", "1")
+    assert code == 2 and not out
+    assert err == ("GridInputError: --poincare: not valid JSON at line 1 "
+                   "column 2 (Expecting property name enclosed in double "
+                   "quotes)\n")
+    assert not os.path.exists(ledger_file)
+
+
+@pytest.mark.parametrize("given", [["--poincare", '{"0": 1}', "--b1", "1"],
+                                   ["--poincare", '{"0": 1}'],
+                                   ["--b1", "1"]],
+                         ids=["both", "poincare", "b1"])
+def test_ledger_add_refuses_grid_with_literature_values(ledger_file, given):
+    code, out, err = invoke("ledger", "--file", ledger_file, "add", "x",
+                            "--grid", "corpus:trefoil5", *given)
+    assert code == 2 and not out
+    assert err.startswith("GridInputError") and "not both" in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(ledger_file)
 
 
 @pytest.mark.parametrize("content, argv", [

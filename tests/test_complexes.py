@@ -11,7 +11,7 @@ import pytest
 
 from gridhfk import generators, homology
 from gridhfk.cli import run
-from gridhfk.errors import GridResourceError
+from gridhfk.errors import GridResourceError, InconsistentComplex
 from gridhfk.generators import (
     enumerate_all,
     generators_in_level,
@@ -20,6 +20,7 @@ from gridhfk.generators import (
     graded_levels,
     level_counts,
 )
+from gridhfk.gf2 import image_in_prefix, kernel_basis, span_intersection_dim
 from gridhfk.gradings import GradingCalculator
 from gridhfk.grids import load_corpus
 from gridhfk.homology import (
@@ -30,7 +31,9 @@ from gridhfk.homology import (
     induced_map_ranks,
     inflate,
     level_homology_ranks,
+    two_step_from_levels,
     verify_d2,
+    walk_levels,
 )
 from gridhfk.invariants import hat_ranks
 from gridhfk.rectangles import (
@@ -368,6 +371,60 @@ def test_slice_terms_sum_to_the_oracle_and_any_decides_positivity():
             assert any(induced_map_ranks(calc, filt)) == (want > 0), (g, cutoff)
 
 
+def _terms_from_cycles(calc, filt):
+    """τ's slice terms as dim Z_S - dim(Z_S meet B): a kernel basis of
+    each window block, tagged in the window's own slice order, met with
+    the image of the full boundary in a basis that lists the window's
+    generators first in that same order."""
+    terms = []
+    for m2 in np.unique(filt.maslov2).tolist():
+        if not -2 * (calc.n - 1) <= m2 <= 0:
+            continue
+        block = np.flatnonzero(filt.maslov2 == m2)
+        below = np.flatnonzero(filt.maslov2 == m2 - 2)
+        out = np.isin(filt.cols, block)
+        kern = kernel_basis(np.searchsorted(below, filt.rows[out]),
+                            np.searchsorted(block, filt.cols[out]),
+                            len(below), len(block))
+        if not kern:
+            continue
+        pair = graded_generators(calc, "maslov", {m2, m2 + 2})
+        pair_m2 = calc.maslov2_batch(pair)
+        slice_gens = pair[pair_m2 == m2]
+        outside = slice_gens[calc.alex2_batch(slice_gens) > filt.alex2]
+        basis = np.concatenate([filt.gens[block], outside])
+        sources = pair[pair_m2 == m2 + 2]
+        rows, cols = boundary_entries(calc.rectangles, sources, basis,
+                                      MODE_FILTERED)
+        image = image_in_prefix(rows, cols, len(basis), len(sources),
+                                len(block))
+        terms.append(len(kern) - span_intersection_dim(kern, image, len(block)))
+    return terms
+
+
+def test_each_slice_term_is_the_one_from_cycles_in_both_windows():
+    """Every term dim Z_S - dim(B meet S), read off block ranks and the
+    image pivots under the window's generators, equals the term met from
+    a kernel basis, slice by slice, in the windows of both builders."""
+    rng = np.random.default_rng(59)
+    terms = 0
+    for n in [3] * 5 + [4] * 5 + [5] * 4 + [6] * 2:
+        g = random_grid(rng, n)
+        calc = GradingCalculator(g)
+        windows = [build_two_step(calc, cutoff) for cutoff in
+                   range(calc.level_floor(), calc.level_ceiling() + 1)]
+        levels = []
+        for lc, _ in walk_levels(calc, ((s, None) for s in
+                                        graded_levels(calc, "alex"))):
+            levels.append(lc)
+            windows.append(two_step_from_levels(calc, levels))
+        for filt in windows:
+            want = _terms_from_cycles(calc, filt)
+            assert list(induced_map_ranks(calc, filt)) == want, (g, filt.alex2)
+            terms += len(want)
+    assert terms >= 100
+
+
 # --------------------------------------------------------------------------
 # the full table in one bucketed pass
 
@@ -506,6 +563,25 @@ def test_level_counts_refuse_n_21_before_building_moves():
     assert raised.value.estimate == factorial(21)
     after = generators._column_moves.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_level_counts_check_their_total_is_n_factorial(monkeypatch):
+    """A DP that drops one move out of the empty mask loses the (n-1)!
+    states that start with it, and the counts no longer sum to n!."""
+    original = generators._column_moves
+
+    def one_move_removed(n):
+        moves = list(original(n))
+        layer, child, row, below = moves[0]
+        moves[0] = (layer, child[:, 1:], row[:, 1:], below[:, 1:])
+        return moves
+
+    monkeypatch.setattr(generators, "_column_moves", one_move_removed)
+    with pytest.raises(InconsistentComplex, match=r"sum to 96, not 5! = 120"):
+        level_counts(GradingCalculator(load_corpus("trefoil5")))
+    err = io.StringIO()
+    assert run(["compute", "corpus:trefoil5"], out=io.StringIO(), err=err) == 1
+    assert err.getvalue().startswith("InconsistentComplex: the level counts")
 
 
 def corrupt_top_of_tail(monkeypatch):

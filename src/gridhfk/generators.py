@@ -4,7 +4,7 @@ enumeration.
 
 Generators are permutations stored as (m, n) arrays, one row per
 generator, entry [i, c] being the row of the point on vertical circle
-c.  Graded enumeration returns int64 arrays in lexicographic order,
+c.  Graded enumeration returns uint8 arrays in lexicographic order,
 and every routine takes the grid's GradingCalculator.  The full set
 of n! generators is listed only by ``enumerate_all``, which no command
 calls.
@@ -163,8 +163,8 @@ def graded_levels(calc, grading):
 def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERATORS):
     """All generators whose alex2 or maslov2 lies in ``targets``.
 
-    ``grading`` is "alex" (alex2) or "maslov" (maslov2).  Returns an
-    int64 (m, n) array in lexicographic order, (0, n) when no generator
+    ``grading`` is "alex" (alex2) or "maslov" (maslov2).  Returns a
+    uint8 (m, n) array in lexicographic order, (0, n) when no generator
     is graded in the targets.  The permutations grow column by column:
     each alive partial expands into its free rows in increasing order,
     and a child lives on only when the completion table says some
@@ -178,7 +178,7 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
     rel = sorted({(t - base) // 2 for t in targets
                   if (t - base) % 2 == 0 and 0 <= t - base < 2 * width})
     if not rel:
-        return np.empty((0, n), dtype=np.int64)
+        return np.empty((0, n), dtype=np.uint8)
     # Column a of ``ahead`` packs hits[a:a + span], a window of one
     # strided view: the targets shifted down by a, in the table's layout.
     span = 64 * len(reach)
@@ -212,7 +212,7 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
                 estimate=len(masks))
         parents.append(parent[alive])
         placed.append(row[alive])
-    out = np.empty((len(masks), n), dtype=np.int64)
+    out = np.empty((len(masks), n), dtype=np.uint8)
     index = np.arange(len(masks))
     for c in range(n - 1, -1, -1):
         out[:, c] = placed[c][index]

@@ -124,8 +124,8 @@ def build_level_complex(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS,
                         gens=None):
     """The level complex at alex2 of the calculator's grid.
 
-    ``gens``, when given, are all int64 generators of that level in
-    lexicographic order, and enumeration is skipped.
+    ``gens``, when given, are all generators of that level, as an
+    integer array in lexicographic order, and enumeration is skipped.
     """
     if gens is None:
         gens = generators_in_level(calc, alex2, max_generators)
@@ -161,15 +161,16 @@ def verify_d2(rows, cols, size):
         raise InconsistentComplex(f"d^2 != 0 from generator {int(odd[0]) // size}")
 
 
-def _block_ranks(lc):
+def _block_ranks(lc, lo=float("-inf"), hi=float("inf")):
     """{maslov2: (block size, rank of the boundary out of the block)}, in
     increasing maslov2, of a complex whose boundary lowers maslov2 by 2.
 
-    ``lc.maslov2`` must be sorted, so each block is a contiguous run of
-    generators.  The entries are bucketed by source block with one stable
-    sort, their sources counted from the start of the block and their
-    targets from the start of block m2 - 2, and every block with entries
-    is one ``gf2.matrix_rank``.
+    Only the blocks with lo <= maslov2 <= hi are listed and ranked.  ``lc.maslov2`` must be
+    sorted, so each block is a contiguous run of generators.  The
+    entries are bucketed by source block with one stable sort, their
+    sources counted from the start of the block and their targets from
+    the start of block m2 - 2, and every listed block with entries is
+    one ``gf2.matrix_rank``.
     """
     values, starts, sizes = np.unique(lc.maslov2, return_index=True,
                                       return_counts=True)
@@ -182,11 +183,13 @@ def _block_ranks(lc):
     bounds = np.searchsorted(src_block, np.arange(len(values) + 1)).tolist()
     blocks = {}
     for i, (m2, size) in enumerate(zip(values.tolist(), sizes.tolist())):
-        lo, hi = bounds[i], bounds[i + 1]
+        if not lo <= m2 <= hi:
+            continue
+        first, last = bounds[i], bounds[i + 1]
         out = 0
-        if hi > lo:
-            out = gf2.matrix_rank(rows[lo:hi], cols[lo:hi],
-                                  int(sizes[tgt_block[lo]]), size)
+        if last > first:
+            out = gf2.matrix_rank(rows[first:last], cols[first:last],
+                                  int(sizes[tgt_block[first]]), size)
         blocks[m2] = (size, out)
     return blocks
 
@@ -418,9 +421,8 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     early never lists the slices above, and the budget bounds the slices
     visited and not n!.
     """
-    window_lo = -2 * (calc.n - 1)
-    for m2, (size, out) in _block_ranks(filt).items():
-        if size == out or not window_lo <= m2 <= 0:
+    for m2, (size, out) in _block_ranks(filt, -2 * (calc.n - 1), 0).items():
+        if size == out:
             continue
         pair = graded_generators(calc, "maslov", {m2, m2 + 2}, max_generators)
         pair_m2 = calc.maslov2_batch(pair)

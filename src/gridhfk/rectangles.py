@@ -28,17 +28,14 @@ each marking set's table is built once per grid.
 
 ``boundary_entries`` runs over all (source, ci, width) triples at once,
 in passes of at most ``_CHUNK`` triples, so memory stays flat whatever
-the number of sources.  The target basis is an array of generators,
-packed into mixed-radix int64 keys sum_c perm[c] n^c and sorted once;
-the targets of each pass are found among those keys with one
-``np.searchsorted``, and the multiplicity of every (source, target) pair
+the number of sources.  The target basis is held as uint8 rows, each
+viewed as one n-byte ``np.void`` scalar and sorted once; bytes compare
+in lexicographic order, so the moved rows of each pass are found among
+them with one ``np.searchsorted`` and kept where the bytes are equal.
+The lookup is exact by construction, for every n up to 256, the most
+that uint8 rows hold.  The multiplicity of every (source, target) pair
 is reduced mod 2 by one ``np.unique(..., return_counts=True)`` over all
-passes.  This is the package's only use of such keys.  They wrap mod
-2^64, and from n = 17 two generators can share one, so a key hit is
-kept only when the target's row equals the moved source row (one gather
-and compare per pass), and each hit walks on through the targets that
-share its key, trying each of them once: the entries are exact at every
-n.
+passes.
 """
 
 from __future__ import annotations
@@ -88,23 +85,24 @@ class RectangleCounter:
 def boundary_entries(counter, sources, targets, mode):
     """Sparse boundary entries for an array of source generators.
 
-    ``targets`` is the target basis as an int64 (k, n) array, row i
+    ``targets`` is the target basis as an integer (k, n) array, row i
     being basis vector i; rectangles landing outside it are dropped,
     which is how level and Maslov-slice restrictions are imposed.
-    Sources must be a signed integer array (int64), since the target
-    keys are built from row differences.  Returns (target_rows,
-    source_cols) index arrays with multiplicity already reduced mod 2
-    (the two rectangles of a transposition are distinct rectangles, each
-    contributing one entry; coincidences cancel), ordered by source,
-    then target.
+    Sources and targets may have any integer dtype.  Returns
+    (target_rows, source_cols) index arrays with multiplicity already
+    reduced mod 2 (the two rectangles of a transposition are distinct
+    rectangles, each contributing one entry; coincidences cancel),
+    ordered by source, then target.  Raises ValueError when n > 256,
+    where uint8 rows would wrap.
     """
     n = counter.n
+    if n > 256:
+        raise ValueError(f"a {n}-grid has rows past the uint8 range")
     m = len(sources)
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     if m == 0 or n < 2 or len(targets) == 0:
         return empty
-    weights = n ** np.arange(n, dtype=np.int64)
-    keys = targets @ weights
+    keys = np.ascontiguousarray(targets, dtype=np.uint8).view(f"V{n}").ravel()
     index = np.argsort(keys)
     keys = keys[index]
     span = len(targets)
@@ -117,7 +115,9 @@ def boundary_entries(counter, sources, targets, mode):
     step = max(1, _CHUNK // (n * (n - 1)))
     pairs = [empty[0]]
     for lo in range(0, m, step):
-        chunk = sources[lo:lo + step]
+        block = np.asarray(sources[lo:lo + step], dtype=np.uint8)
+        # int16, since uint8 differences would wrap mod 256.
+        chunk = block.astype(np.int16)
         rel = (chunk[:, ahead] - chunk[:, :, None]) % n
         low = np.empty_like(rel)
         low[:, :, 0] = n
@@ -129,27 +129,15 @@ def boundary_entries(counter, sources, targets, mode):
         inside = (marks[c1 * stride + r1] - marks[ci * stride + r1]
                   - marks[c1 * stride + a] + marks[ci * stride + a])
         keep = inside == 0
-        x, ci, a = x[keep], ci[keep], a[keep]
+        x, ci = x[keep], ci[keep]
         cj = c1[keep] % n
-        b = chunk[x, cj]
-        moved = (chunk @ weights)[x] + (b - a) * (weights[ci] - weights[cj])
-        # Walk each candidate along the run of targets sharing its key
-        # (one target unless keys collide, as they can from n = 17).
-        pos = np.searchsorted(keys, moved)
-        live = np.flatnonzero(pos < len(keys))
-        pos = pos[live]
-        while len(live):
-            hit = keys[pos] == moved[live]
-            live, pos = live[hit], pos[hit]
-            source, target = x[live], index[pos]
-            # The moved row: the source with rows a and b swapped.
-            row, at = chunk[source], np.arange(len(live))
-            row[at, ci[live]], row[at, cj[live]] = b[live], a[live]
-            same = (targets[target] == row).all(axis=1)
-            pairs.append((source[same] + lo) * span + target[same])
-            pos = pos + 1
-            more = pos < len(keys)
-            live, pos = live[more], pos[more]
+        # The moved row: the source with rows a and b swapped.
+        row, at = block[x], np.arange(len(x))
+        row[at, ci], row[at, cj] = row[at, cj], row[at, ci]
+        moved = row.view(f"V{n}").ravel()
+        pos = np.minimum(np.searchsorted(keys, moved), span - 1)
+        hit = keys[pos] == moved
+        pairs.append((x[hit] + lo) * span + index[pos[hit]])
     pairs, counts = np.unique(np.concatenate(pairs), return_counts=True)
     pairs = pairs[counts % 2 == 1]
     return pairs % span, pairs // span

@@ -120,7 +120,7 @@ def _check_graded(calc, grading, targets, perms, values):
     """The enumerator against a filter of all permutations, and its budget."""
     want = perms[np.isin(values, list(targets))]
     got = graded_generators(calc, grading, targets)
-    assert got.dtype == np.int64 and got.shape == (len(want), calc.n)
+    assert got.dtype == np.uint8 and got.shape == (len(want), calc.n)
     assert np.array_equal(got, want), (grading, targets)
     if len(want):
         with pytest.raises(GridResourceError):

@@ -8,6 +8,7 @@ Grading pairs are written (maslov2, alex2) in doubled coordinates.
 
 import io
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from gridhfk.grids import (
     connected_sum,
     count_components,
     load_corpus,
+    load_grid,
     make_grid,
     mirror,
+    simplify,
 )
 from gridhfk.generators import graded_levels
 from gridhfk.gradings import GradingCalculator
@@ -34,6 +37,7 @@ from gridhfk.homology import (
     build_two_step,
     deflate_to_hat,
     homology_ranks,
+    induced_map_ranks,
     inflate,
     two_step_from_levels,
     walk_levels,
@@ -294,6 +298,47 @@ def test_window_from_levels_is_the_two_step_at_every_cutoff():
             assert np.all(np.diff(window.maslov2) >= 0), g
             assert (_generators_and_edges(window)
                     == _generators_and_edges(want)), (g, lc.alex2)
+
+
+def test_bottom_group_of_the_frozen_20_grid():
+    """On the 20-grid of trefoil5 spliced with torus_2_5_7 three times,
+    simplified after each splice and frozen in ``tests/data``, the bottom
+    scan reaches the size where int64 mixed-radix keys of generators
+    collide; its level holds uint8 rows and gives the bottom group."""
+    g = load_grid(Path(__file__).parent / "data" / "splice20.grid")
+    assert g.n == 20
+    scan = scan_bottom(g)
+    assert all(lc.gens.dtype == np.uint8 for lc in scan.levels)
+    group = scan.group
+    assert (group.alex2, group.poincare.coeffs) == (-14, {-28: 1})
+
+
+def test_tau_ranks_only_the_window_blocks_it_reads(monkeypatch):
+    """The mirror scan of the simplified figure_eight6#trefoil5 (n = 9)
+    stops at one level, alex2 -20, whose blocks run m2 = -24 .. -12 and
+    six of which have entries.  τ reads only the blocks in the Maslov
+    window [-16, 0], so it ranks three of them."""
+    g = simplify(connected_sum(corpus("figure_eight6"), corpus("trefoil5")))
+    assert g.n == 9
+    scan = scan_bottom(mirror(g))
+    filt = two_step_from_levels(scan.calc, scan.levels)
+    assert [lc.alex2 for lc in scan.levels] == [-20]
+    assert np.unique(filt.maslov2).tolist() == list(range(-24, -11, 2))
+    right = homology.gf2.matrix_rank
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return right(*args)
+
+    monkeypatch.setattr(homology.gf2, "matrix_rank", counted)
+    assert list(induced_map_ranks(scan.calc, filt)) == [0, 0]
+    assert len(calls) == 3
+    assert not tau_top_is_g(g, mirror_scan=scan)
+    # The level tables still rank every block.
+    calls.clear()
+    homology.level_homology_ranks(filt)
+    assert len(calls) == 6
 
 
 def test_scan_checks_each_level_euler_characteristic(monkeypatch):

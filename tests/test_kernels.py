@@ -4,7 +4,9 @@ GF(2) ranks, kernels and prefix images at widths of 60-300 bits are
 checked against the plain-int eliminations of the oracle; boundary
 entries, split into passes of one, two and three sources or not, and
 into a restricted target basis, against the rectangle oracle, and on
-an n = 20 pair whose int64 keys collide; every mask of the completion
+an n = 20 pair whose int64 keys collide; boundary entries of the same
+rows in uint8, int16 and int64, and their refusal past n = 256; every
+mask of the completion
 tables against a brute-force completion, and the multi-word tables of
 grids of size 8-10 against all n! states; and ``verify_d2`` against a
 boundary with one entry flipped.
@@ -203,6 +205,37 @@ def test_boundary_entries_are_exact_where_target_keys_collide():
                 mode
 
 
+def test_boundary_entries_do_not_depend_on_the_row_dtype():
+    """The same sources and targets, each given as uint8, int16 or int64
+    rows, give the same entries in both modes, the oracle's; a grid
+    past the uint8 range of rows is refused."""
+    rng = np.random.default_rng(49)
+    dtypes = (np.uint8, np.int16, np.int64)
+    for n in (4, 5, 6, 7):
+        g = random_grid(rng, n)
+        counter = RectangleCounter(g)
+        perms = generators.enumerate_all(g)
+        sources = perms[rng.choice(len(perms), size=12, replace=False)]
+        targets = perms[rng.permutation(len(perms))[:len(perms) // 2]]
+        for mode in (MODE_LEVEL, MODE_FILTERED):
+            want = oracle_boundary_pairs(g.x_cols, g.o_cols, sources.tolist(),
+                                         targets=targets.tolist(), mode=mode)
+            first = boundary_entries(counter, sources, targets, mode)
+            assert sorted(zip(*first)) == sorted(want), (n, mode)
+            for src in dtypes:
+                for tgt in dtypes:
+                    rows, cols = boundary_entries(counter, sources.astype(src),
+                                                  targets.astype(tgt), mode)
+                    assert np.array_equal(rows, first[0]), (n, mode, src, tgt)
+                    assert np.array_equal(cols, first[1]), (n, mode, src, tgt)
+    n = 257
+    big = RectangleCounter(make_grid([(r - 1) % n for r in range(n)],
+                                     [(r - 2) % n for r in range(n)]))
+    row = np.arange(n, dtype=np.int64)[None]
+    with pytest.raises(ValueError, match="257"):
+        boundary_entries(big, row, row, MODE_LEVEL)
+
+
 def _reachable_by_brute_force(g, grading, mask, shift, base):
     """Relative values the free rows of ``mask`` add over every completion.
 
@@ -264,7 +297,7 @@ def _check_maslov_table_against_all_states(calc, slices, pair):
     assert generators.graded_levels(calc, "maslov") == np.unique(m2).tolist()
     for targets in [[level] for level in slices] + [pair]:
         got = generators.graded_generators(calc, "maslov", targets)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint8
         assert np.array_equal(got, perms[np.isin(m2, targets)])
     with pytest.raises(GridResourceError):
         generators.graded_generators(calc, "maslov", pair,

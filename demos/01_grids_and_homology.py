@@ -25,6 +25,7 @@ from gridhfk.homology import (
     verify_d2,
 )
 from gridhfk.invariants import hat_ranks
+from gridhfk.rectangles import MODE_LEVEL, boundary_entries
 
 
 def art(grid):
@@ -62,7 +63,8 @@ for perm, m2, a2 in zip(perms.tolist(), calc.maslov2_batch(perms),
 print("\nThe boundary map counts empty rectangles; it squares to zero:")
 for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
     lc = build_level_complex(calc, a2)
-    verify_d2(lc.rows, lc.cols, lc.size)  # raises if the structure is broken
+    rows, cols = boundary_entries(calc.rectangles, lc.gens, lc.gens, MODE_LEVEL)
+    verify_d2(rows, cols, lc.size)  # raises if the structure is broken
     print(f"  Alexander level {a2 / 2:+.1f}: {lc.size} generators, d^2 = 0  ok")
 
 print("\nFull tilde homology of the 2 x 2 unknot:")

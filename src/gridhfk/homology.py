@@ -9,9 +9,13 @@ passed as an array of generators.
 
 The level complex at doubled Alexander grading s is spanned by the
 generators of that level with the boundary counting rectangles empty of
-all markings; it splits along maslov2 into blocks mapping m2 -> m2 - 2,
-so ranks per bigrading fall out of one sparse elimination per block,
-the rank out of it (``_block_ranks``, which τ's window shares).
+all markings.  Every rectangle lowers maslov2 by exactly 2, so the
+complex splits along maslov2 into blocks mapping m2 -> m2 - 2, and a
+level is held as its blocks: one (size, rank out) per block, each rank
+from one rectangle pass with block m2 - 2 as the targets and one sparse
+elimination (``_block_ranks``, which τ's window shares).  No entry
+outlives its block pair, so memory follows the largest block pair, not
+the level.
 
 The full table is built from the bottom tail of levels.  The tilde
 homology is the hat tensored with (F2 + F2[-1,-1])^k, k = n - l, so
@@ -36,18 +40,20 @@ homology, so it enumerates just the levels it visits.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
 generators at or below a cutoff span a subcomplex, τ's window.  It is
-held as a LevelComplex whose alex2 is the cutoff and whose boundary is
-the filtered one.  ``two_step_from_levels`` joins walked levels into the
-window up to the last of them: each level after the first adds its
-filtered boundary into the levels before it, from one rectangle pass
-with those levels as targets, made only when τ runs.  On the one-level
-tails of simplified grids there is no such pass.  ``build_two_step``
-builds the window for any cutoff from the generators up to it, in one
-pass, and the tests hold the two to each other.  Either way the window
-holds every generator at or below its alex2, so membership is a grading
-test: a generator of the full complex lies outside exactly when its
-alex2 is above the window's.  The rank of the map on homology induced by
-the inclusion is computed per Maslov slice as
+held as a LevelComplex whose alex2 is the cutoff and whose blocks are
+ranked with the filtered boundary, by the same block loop, only inside
+the Maslov window [-2(n-1), 0] that τ reads.  ``build_two_step`` builds
+the window for any cutoff from the generators up to it.
+``two_step_from_levels`` builds it from the walked levels of a tail:
+a one-level tail is its level, since nothing lies below the lowest
+level and a rectangle through an X leaves the window, so τ reuses the
+level's ranks and counts no rectangle for them; a longer tail joins its
+levels' generators and ranks its window blocks only when τ runs.  The
+tests hold the two builders to each other.  Either way the window holds
+every generator at or below its alex2, so membership is a grading test:
+a generator of the full complex lies outside exactly when its alex2 is
+above the window's.  The rank of the map on homology induced by the
+inclusion is computed per Maslov slice as
 
     dim Z_S - dim(B  intersect  S),   B the image of the full boundary,
 
@@ -94,14 +100,19 @@ from .rectangles import MODE_FILTERED, MODE_LEVEL, boundary_entries
 
 @dataclass
 class LevelComplex:
-    """One Alexander level with its level-preserving boundary, or τ's
-    window: the generators at or below alex2 with the filtered boundary."""
+    """One Alexander level with the block ranks of its level-preserving
+    boundary, or τ's window: the generators at or below alex2 with the
+    block ranks of the filtered boundary.
+
+    ``blocks`` maps each ranked maslov2, in increasing order, to (block
+    size, rank of the boundary out of the block).  A level ranks every
+    block, a window built from generators only those of the Maslov window
+    [-2(n - 1), 0]."""
 
     alex2: int
     gens: np.ndarray          # (m, n) permutations, canonical order
-    maslov2: np.ndarray       # (m,)
-    rows: np.ndarray          # boundary entries: target indices
-    cols: np.ndarray          # boundary entries: source indices
+    maslov2: np.ndarray       # (m,), sorted
+    blocks: dict              # {maslov2: (size, rank out)}
 
     @property
     def size(self):
@@ -112,12 +123,14 @@ class LevelComplex:
         return len(self.gens) == 0
 
 
-def _canonical(calc, gens):
-    """Lexicographic ``gens`` sorted by maslov2, keeping that order within
-    each slice; returns (gens, maslov2)."""
-    m2 = calc.maslov2_batch(gens)
+def _complex(calc, alex2, gens, m2, mode, lo=float("-inf"), hi=float("inf")):
+    """The LevelComplex of ``gens`` with the boundary of ``mode``, its
+    generators sorted by maslov2 (stable, so each slice keeps the order
+    given) and its blocks ranked from lo to hi."""
     order = np.argsort(m2, kind="stable")
-    return gens[order], m2[order]
+    gens, m2 = gens[order], m2[order]
+    return LevelComplex(alex2=alex2, gens=gens, maslov2=m2,
+                        blocks=_block_ranks(calc, gens, m2, mode, lo, hi))
 
 
 def build_level_complex(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS,
@@ -129,10 +142,7 @@ def build_level_complex(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS,
     """
     if gens is None:
         gens = generators_in_level(calc, alex2, max_generators)
-    gens, m2 = _canonical(calc, gens)
-    rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_LEVEL)
-    return LevelComplex(alex2=alex2, gens=gens, maslov2=m2, rows=rows,
-                        cols=cols)
+    return _complex(calc, alex2, gens, calc.maslov2_batch(gens), MODE_LEVEL)
 
 
 def verify_d2(rows, cols, size):
@@ -161,36 +171,33 @@ def verify_d2(rows, cols, size):
         raise InconsistentComplex(f"d^2 != 0 from generator {int(odd[0]) // size}")
 
 
-def _block_ranks(lc, lo=float("-inf"), hi=float("inf")):
+def _block_ranks(calc, gens, m2, mode, lo=float("-inf"), hi=float("inf")):
     """{maslov2: (block size, rank of the boundary out of the block)}, in
-    increasing maslov2, of a complex whose boundary lowers maslov2 by 2.
+    increasing maslov2, of the generators ``gens`` sorted by ``m2``.
 
-    Only the blocks with lo <= maslov2 <= hi are listed and ranked.  ``lc.maslov2`` must be
-    sorted, so each block is a contiguous run of generators.  The
-    entries are bucketed by source block with one stable sort, their
-    sources counted from the start of the block and their targets from
-    the start of block m2 - 2, and every listed block with entries is
-    one ``gf2.matrix_rank``.
+    Every rectangle lowers maslov2 by exactly 2, so the boundary out of
+    block m lands in block m - 2.  Each block with lo <= maslov2 <= hi
+    is listed, and ranked, when a block two below it exists, by one
+    ``boundary_entries`` pass with that block as the targets and one
+    ``gf2.matrix_rank`` of the entries found.  The entries are dropped
+    once ranked, so memory follows the largest block pair.
     """
-    values, starts, sizes = np.unique(lc.maslov2, return_index=True,
+    values, starts, sizes = np.unique(m2, return_index=True,
                                       return_counts=True)
-    src_block = np.searchsorted(values, lc.maslov2[lc.cols])
-    order = np.argsort(src_block, kind="stable")
-    src_block = src_block[order]
-    tgt_block = np.searchsorted(values, values[src_block] - 2)
-    cols = lc.cols[order] - starts[src_block]
-    rows = lc.rows[order] - starts[tgt_block]
-    bounds = np.searchsorted(src_block, np.arange(len(values) + 1)).tolist()
+    runs = {m: gens[start:start + size] for m, start, size
+            in zip(values.tolist(), starts.tolist(), sizes.tolist())}
     blocks = {}
-    for i, (m2, size) in enumerate(zip(values.tolist(), sizes.tolist())):
-        if not lo <= m2 <= hi:
+    for m, sources in runs.items():
+        if not lo <= m <= hi:
             continue
-        first, last = bounds[i], bounds[i + 1]
+        targets = runs.get(m - 2)
         out = 0
-        if last > first:
-            out = gf2.matrix_rank(rows[first:last], cols[first:last],
-                                  int(sizes[tgt_block[first]]), size)
-        blocks[m2] = (size, out)
+        if targets is not None:
+            rows, cols = boundary_entries(calc.rectangles, sources, targets,
+                                          mode)
+            if len(rows):
+                out = gf2.matrix_rank(rows, cols, len(targets), len(sources))
+        blocks[m] = (len(sources), out)
     return blocks
 
 
@@ -200,10 +207,9 @@ def level_homology_ranks(lc):
     The boundary maps the maslov2 = m block into m - 2; the rank at m is
     dim(block) - rank(out of m) - rank(out of m + 2).
     """
-    blocks = _block_ranks(lc)
     ranks = {}
-    for m2, (size, out) in blocks.items():
-        r = size - out - blocks.get(m2 + 2, (0, 0))[1]
+    for m2, (size, out) in lc.blocks.items():
+        r = size - out - lc.blocks.get(m2 + 2, (0, 0))[1]
         if r:
             ranks[m2] = r
     return ranks
@@ -359,14 +365,18 @@ def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
     return tilde
 
 
+def _window(calc, alex2, gens, m2):
+    """τ's window at alex2 spanned by ``gens``, every generator at or
+    below it: the filtered boundary's ranks on the Maslov window blocks."""
+    return _complex(calc, alex2, gens, m2, MODE_FILTERED,
+                    -2 * (calc.n - 1), 0)
+
+
 def build_two_step(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """τ's window at the cutoff: the generators at or below it with the
     filtered boundary."""
     gens = generators_up_to(calc, cutoff_alex2, max_generators)
-    gens, m2 = _canonical(calc, gens)
-    rows, cols = boundary_entries(calc.rectangles, gens, gens, MODE_FILTERED)
-    return LevelComplex(alex2=cutoff_alex2, gens=gens, maslov2=m2, rows=rows,
-                        cols=cols)
+    return _window(calc, cutoff_alex2, gens, calc.maslov2_batch(gens))
 
 
 def two_step_from_levels(calc, levels):
@@ -374,31 +384,16 @@ def two_step_from_levels(calc, levels):
     as ``walk_levels`` yields them: every non-empty level up to the last
     one, so ``build_two_step`` at the last level's alex2.
 
-    Each level brings its level boundary, and each level after the first
-    its filtered boundary into the levels before it, from one rectangle
-    pass with those levels as the targets (a rectangle with no X inside
-    keeps alex2, so it misses them).  The levels are joined in their
-    order and re-sorted by maslov2 (stable) into canonical order.
+    A one-level tail is its level: nothing lies below the lowest level,
+    so a rectangle through an X leaves the window and the filtered
+    boundary inside it is the level boundary.  A longer tail joins its
+    levels' generators and ranks the filtered boundary on them.
     """
-    gens = np.concatenate([lc.gens for lc in levels])
-    rows, cols = [], []
-    start = 0
-    for lc in levels:
-        rows.append(lc.rows + start)
-        cols.append(lc.cols + start)
-        if start:
-            down_rows, down_cols = boundary_entries(
-                calc.rectangles, lc.gens, gens[:start], MODE_FILTERED)
-            rows.append(down_rows)
-            cols.append(down_cols + start)
-        start += lc.size
-    m2 = np.concatenate([lc.maslov2 for lc in levels])
-    order = np.argsort(m2, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    return LevelComplex(alex2=levels[-1].alex2, gens=gens[order],
-                        maslov2=m2[order], rows=position[np.concatenate(rows)],
-                        cols=position[np.concatenate(cols)])
+    if len(levels) == 1:
+        return levels[0]
+    return _window(calc, levels[-1].alex2,
+                   np.concatenate([lc.gens for lc in levels]),
+                   np.concatenate([lc.maslov2 for lc in levels]))
 
 
 def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
@@ -406,7 +401,8 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
 
     ``filt`` is the window of the subcomplex, on the grid of the
     calculator: every generator at or below ``filt.alex2``, as
-    ``build_two_step`` and ``two_step_from_levels`` build it.
+    ``build_two_step`` and ``two_step_from_levels`` build it.  Only its
+    blocks inside the Maslov window [-2(n - 1), 0] are read.
 
     Yields, for every needed Maslov slice m2 in increasing order, the
     number dim Z_S - dim(B meet S) >= 0, where Z_S is the cycle space
@@ -421,8 +417,9 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     early never lists the slices above, and the budget bounds the slices
     visited and not n!.
     """
-    for m2, (size, out) in _block_ranks(filt, -2 * (calc.n - 1), 0).items():
-        if size == out:
+    lo = -2 * (calc.n - 1)
+    for m2, (size, out) in filt.blocks.items():
+        if not lo <= m2 <= 0 or size == out:
             continue
         pair = graded_generators(calc, "maslov", {m2, m2 + 2}, max_generators)
         pair_m2 = calc.maslov2_batch(pair)

@@ -14,10 +14,11 @@ them.  The genus is minus the corrected bottom grading.
 Tau extremality asks whether the inclusion of the bottom filtration
 window, the generators at or below the scan's last level, induces a
 nonzero map on total homology.  That window is the scanned tail, so τ
-runs on the scan's calculator and tail (``BottomScan.tau_extremal``):
-``homology.two_step_from_levels`` adds each level's filtered boundary
-into the levels below it, a rectangle pass made only for tails of two
-or more levels, and only when τ runs.  The rank of that map is a sum of
+runs on the scan's calculator and tail (``BottomScan.tau_extremal``).
+A one-level tail is the window itself, filtered boundary and all, so τ
+reads the block ranks the scan made; a longer tail is joined by
+``homology.two_step_from_levels`` and its window blocks ranked with the
+filtered boundary, only when τ runs.  The rank of that map is a sum of
 non-negative terms, one per Maslov slice, so the answer is read off the
 first positive term, lowest slice first, and the slices above it are
 never listed.
@@ -111,7 +112,8 @@ class BottomScan:
     with homology.
 
     ``levels`` are their LevelComplexes in increasing alex2, as
-    ``walk_levels`` yields them; ``ranks`` are the tilde ranks of the last.
+    ``walk_levels`` yields them, each holding its block ranks, not its
+    boundary entries; ``ranks`` are the tilde ranks of the last.
     """
 
     calc: GradingCalculator

@@ -49,6 +49,7 @@ from gridhfk.murasugi import (
     verify_theorem2,
 )
 from gridhfk.polynomials import LaurentPoly
+from gridhfk.rectangles import MODE_LEVEL, boundary_entries
 
 from oracle import oracle_rectangles
 from test_grids import random_grid
@@ -206,7 +207,9 @@ def test_criterion_8_property_suite():
             calc = GradingCalculator(g)
             for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
                 lc = build_level_complex(calc, a2)
-                verify_d2(lc.rows, lc.cols, lc.size)  # raises on failure
+                rows, cols = boundary_entries(calc.rectangles, lc.gens,
+                                              lc.gens, MODE_LEVEL)
+                verify_d2(rows, cols, lc.size)  # raises on failure
 
         # Grading relations on rectangle-connected generator pairs.
         g = random_grid(rng, 6)

@@ -317,9 +317,10 @@ def test_memory_error_is_exit_3(monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    # Both commands build level complexes, and each level's boundary.
+    # Both commands count rectangles: compute in the block pairs of its
+    # tail (knot_5_2_7's tail has a differential), murasugi in τ's slices.
     monkeypatch.setattr(gridhfk.homology, "boundary_entries", no_memory)
-    for argv in (["compute", "corpus:trefoil5"],
+    for argv in (["compute", "corpus:knot_5_2_7"],
                  ["murasugi", "corpus:hopf_plumbing_trefoil"]):
         code, _, err = invoke(*argv)
         assert code == 3

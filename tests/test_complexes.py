@@ -44,6 +44,7 @@ from gridhfk.rectangles import (
 )
 
 from oracle import (
+    gf2_rank,
     oracle_alex2,
     oracle_boundary_pairs,
     oracle_components,
@@ -199,8 +200,9 @@ def test_boundary_matches_oracle_on_random_levels():
             gens = [tuple(int(v) for v in p) for p in lc.gens]
             want = set(oracle_boundary_pairs(g.x_cols, g.o_cols, gens,
                                              mode="level"))
-            got = set(zip(lc.rows.tolist(), lc.cols.tolist()))
-            assert got == want
+            rows, cols = boundary_entries(calc.rectangles, lc.gens, lc.gens,
+                                          MODE_LEVEL)
+            assert set(zip(rows.tolist(), cols.tolist())) == want
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +217,9 @@ def test_d_squared_zero_on_100_random_grids():
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
             lc = build_level_complex(calc, a2)
-            verify_d2(lc.rows, lc.cols, lc.size)  # raises on failure
+            rows, cols = boundary_entries(calc.rectangles, lc.gens, lc.gens,
+                                          MODE_LEVEL)
+            verify_d2(rows, cols, lc.size)  # raises on failure
         checked += 1
     assert checked == 100
 
@@ -227,7 +231,9 @@ def test_d_squared_zero_on_corpus_up_to_seven():
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
             lc = build_level_complex(calc, a2)
-            verify_d2(lc.rows, lc.cols, lc.size)
+            rows, cols = boundary_entries(calc.rectangles, lc.gens, lc.gens,
+                                          MODE_LEVEL)
+            verify_d2(rows, cols, lc.size)
 
 
 def test_boundary_entries_are_transpositions_dropping_maslov_by_two():
@@ -237,7 +243,9 @@ def test_boundary_entries_are_transpositions_dropping_maslov_by_two():
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
             lc = build_level_complex(calc, a2)
-            for tgt, src in zip(lc.rows.tolist(), lc.cols.tolist()):
+            rows, cols = boundary_entries(calc.rectangles, lc.gens, lc.gens,
+                                          MODE_LEVEL)
+            for tgt, src in zip(rows.tolist(), cols.tolist()):
                 diff = np.flatnonzero(lc.gens[tgt] != lc.gens[src])
                 assert len(diff) == 2
                 ci, cj = diff
@@ -375,16 +383,19 @@ def _terms_from_cycles(calc, filt):
     """τ's slice terms as dim Z_S - dim(Z_S meet B): a kernel basis of
     each window block, tagged in the window's own slice order, met with
     the image of the full boundary in a basis that lists the window's
-    generators first in that same order."""
+    generators first in that same order.  The window's boundary is its
+    filtered boundary, recounted here on all of its generators."""
+    d_rows, d_cols = boundary_entries(calc.rectangles, filt.gens, filt.gens,
+                                      MODE_FILTERED)
     terms = []
     for m2 in np.unique(filt.maslov2).tolist():
         if not -2 * (calc.n - 1) <= m2 <= 0:
             continue
         block = np.flatnonzero(filt.maslov2 == m2)
         below = np.flatnonzero(filt.maslov2 == m2 - 2)
-        out = np.isin(filt.cols, block)
-        kern = kernel_basis(np.searchsorted(below, filt.rows[out]),
-                            np.searchsorted(block, filt.cols[out]),
+        out = np.isin(d_cols, block)
+        kern = kernel_basis(np.searchsorted(below, d_rows[out]),
+                            np.searchsorted(block, d_cols[out]),
                             len(below), len(block))
         if not kern:
             continue
@@ -423,6 +434,63 @@ def test_each_slice_term_is_the_one_from_cycles_in_both_windows():
             assert list(induced_map_ranks(calc, filt)) == want, (g, filt.alex2)
             terms += len(want)
     assert terms >= 100
+
+
+def _oracle_blocks(g, gens, pairs, lo=float("-inf"), hi=float("inf")):
+    """{maslov2: (block size, GF(2) rank of the oracle entries from the
+    block into the block two below)} of the complex spanned by ``gens``,
+    for the blocks from lo to hi; ``pairs`` are the oracle's (target,
+    source) entries among all states, as row tuples."""
+    gens = [tuple(p) for p in gens.tolist()]
+    m2 = {p: oracle_maslov2(g.x_cols, g.o_cols, p) for p in gens}
+    blocks = {}
+    for m in sorted(set(m2.values())):
+        if not lo <= m <= hi:
+            continue
+        below = {p: i for i, p in enumerate(q for q in gens if m2[q] == m - 2)}
+        columns = {p: 0 for p in gens if m2[p] == m}
+        for tgt, src in pairs:
+            if src in columns and tgt in below:
+                columns[src] ^= 1 << below[tgt]
+        blocks[m] = (len(columns), gf2_rank(columns.values()))
+    return blocks
+
+
+def test_block_ranks_match_the_oracle_on_levels_and_windows():
+    """Every level's blocks, and every window's blocks in the Maslov
+    window, from ``build_two_step`` at each cutoff and from
+    ``two_step_from_levels`` at each walked prefix, are the block sizes
+    and the ranks of the oracle's entries from each block into the block
+    two below it."""
+    rng = np.random.default_rng(61)
+    ranked = 0
+    for n in [3] * 4 + [4] * 4 + [5] * 3 + [6] * 2:
+        g = random_grid(rng, n)
+        calc = GradingCalculator(g)
+        states = [tuple(p) for p in permutations(range(n))]
+        pairs = {mode: [(states[t], states[s]) for t, s in
+                        oracle_boundary_pairs(g.x_cols, g.o_cols, states,
+                                              mode=mode)]
+                 for mode in ("level", "filtered")}
+        lo = -2 * (n - 1)
+        for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
+            lc = build_level_complex(calc, a2)
+            want = _oracle_blocks(g, lc.gens, pairs["level"])
+            assert lc.blocks == want, (g, a2)
+            ranked += sum(out > 0 for _, out in want.values())
+        windows = [build_two_step(calc, cutoff) for cutoff in
+                   range(calc.level_floor(), calc.level_ceiling() + 1)]
+        levels = []
+        for lc, _ in walk_levels(calc, ((s, None) for s in
+                                        graded_levels(calc, "alex"))):
+            levels.append(lc)
+            windows.append(two_step_from_levels(calc, levels))
+        for filt in windows:
+            want = _oracle_blocks(g, filt.gens, pairs["filtered"], lo, 0)
+            got = {m2: b for m2, b in filt.blocks.items() if lo <= m2 <= 0}
+            assert got == want, (g, filt.alex2)
+            ranked += sum(out > 0 for _, out in want.values())
+    assert ranked >= 100
 
 
 # --------------------------------------------------------------------------
@@ -475,17 +543,18 @@ def test_one_pass_level_complex_from_given_gens_skips_enumeration(monkeypatch):
     gens = {}
     for a2 in range(calc.level_floor(), calc.level_ceiling() + 1):
         lc = build_level_complex(calc, a2)
-        want[a2] = (lc.gens, lc.maslov2, lc.rows, lc.cols)
+        want[a2] = lc
         gens[a2] = generators_in_level(calc, a2)
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("gens= must skip level enumeration")
 
     monkeypatch.setattr(homology, "generators_in_level", no_enumeration)
-    for a2, expect in want.items():
+    for a2, ref in want.items():
         lc = build_level_complex(calc, a2, gens=gens[a2])
-        for got, ref in zip((lc.gens, lc.maslov2, lc.rows, lc.cols), expect):
-            assert np.array_equal(got, ref)
+        assert np.array_equal(lc.gens, ref.gens)
+        assert np.array_equal(lc.maslov2, ref.maslov2)
+        assert lc.blocks == ref.blocks
 
 
 # --------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from gridhfk.invariants import (
     top_group,
 )
 from gridhfk.polynomials import LaurentPoly
+from gridhfk.rectangles import MODE_FILTERED, boundary_entries
 
 from oracle import (
     oracle_bottom_group,
@@ -241,13 +242,22 @@ def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
     assert links
 
 
-def _generators_and_edges(window):
+def _generators_and_edges(calc, window):
     """The window's top level, its generators as row tuples, and its
-    boundary entries as (source, target) pairs of those tuples."""
+    filtered boundary entries as (source, target) pairs of those tuples."""
+    rows, cols = boundary_entries(calc.rectangles, window.gens, window.gens,
+                                  MODE_FILTERED)
     gens = [tuple(row) for row in window.gens.tolist()]
     edges = sorted((gens[c], gens[r])
-                   for r, c in zip(window.rows.tolist(), window.cols.tolist()))
+                   for r, c in zip(rows.tolist(), cols.tolist()))
     return window.alex2, sorted(gens), edges
+
+
+def _window_blocks(calc, window):
+    """The window's block ranks inside the Maslov window [-2(n - 1), 0],
+    the blocks τ reads."""
+    return {m2: block for m2, block in window.blocks.items()
+            if -2 * (calc.n - 1) <= m2 <= 0}
 
 
 def test_mirror_scans_of_multi_level_tails_match_the_oracle():
@@ -273,18 +283,22 @@ def test_mirror_scans_of_multi_level_tails_match_the_oracle():
         want = oracle_inclusion_rank(m.x_cols, m.o_cols, cutoff) > 0
         assert tau_top_is_g(g, mirror_scan=scan) == want, g
         tail = two_step_from_levels(scan.calc, scan.levels)
+        window = build_two_step(scan.calc, cutoff)
         assert np.all(np.diff(tail.maslov2) >= 0), g
-        assert (_generators_and_edges(tail) == _generators_and_edges(
-            build_two_step(scan.calc, cutoff))), g
+        assert (_generators_and_edges(scan.calc, tail)
+                == _generators_and_edges(scan.calc, window)), g
+        assert (_window_blocks(scan.calc, tail)
+                == _window_blocks(scan.calc, window)), g
         if found == 4:
             break
     assert found == 4
 
 
 def test_window_from_levels_is_the_two_step_at_every_cutoff():
-    """τ's window joined from the walked levels up to each level, with the
-    filtered entries of each level into the ones below, is the subcomplex
-    ``build_two_step`` builds at that cutoff."""
+    """τ's window joined from the walked levels up to each level is the
+    subcomplex ``build_two_step`` builds at that cutoff: the same
+    generators, the same filtered entries and the same block ranks in
+    the Maslov window."""
     rng = np.random.default_rng(47)
     for _ in range(20):
         g = random_grid(rng, int(rng.integers(3, 7)))
@@ -296,8 +310,10 @@ def test_window_from_levels_is_the_two_step_at_every_cutoff():
             window = two_step_from_levels(calc, levels)
             want = build_two_step(calc, lc.alex2)
             assert np.all(np.diff(window.maslov2) >= 0), g
-            assert (_generators_and_edges(window)
-                    == _generators_and_edges(want)), (g, lc.alex2)
+            assert (_generators_and_edges(calc, window)
+                    == _generators_and_edges(calc, want)), (g, lc.alex2)
+            assert (_window_blocks(calc, window)
+                    == _window_blocks(calc, want)), (g, lc.alex2)
 
 
 def test_bottom_group_of_the_frozen_20_grid():
@@ -315,15 +331,12 @@ def test_bottom_group_of_the_frozen_20_grid():
 
 def test_tau_ranks_only_the_window_blocks_it_reads(monkeypatch):
     """The mirror scan of the simplified figure_eight6#trefoil5 (n = 9)
-    stops at one level, alex2 -20, whose blocks run m2 = -24 .. -12 and
-    six of which have entries.  τ reads only the blocks in the Maslov
-    window [-16, 0], so it ranks three of them."""
+    stops at one level, alex2 -20, whose blocks run m2 = -24 .. -12: the
+    scan ranks the six that have a block two below them.  That one-level
+    tail is τ's window, so τ reads the scan's ranks of the blocks in the
+    Maslov window [-16, 0] and ranks none itself."""
     g = simplify(connected_sum(corpus("figure_eight6"), corpus("trefoil5")))
     assert g.n == 9
-    scan = scan_bottom(mirror(g))
-    filt = two_step_from_levels(scan.calc, scan.levels)
-    assert [lc.alex2 for lc in scan.levels] == [-20]
-    assert np.unique(filt.maslov2).tolist() == list(range(-24, -11, 2))
     right = homology.gf2.matrix_rank
     calls = []
 
@@ -332,13 +345,16 @@ def test_tau_ranks_only_the_window_blocks_it_reads(monkeypatch):
         return right(*args)
 
     monkeypatch.setattr(homology.gf2, "matrix_rank", counted)
-    assert list(induced_map_ranks(scan.calc, filt)) == [0, 0]
-    assert len(calls) == 3
-    assert not tau_top_is_g(g, mirror_scan=scan)
-    # The level tables still rank every block.
-    calls.clear()
-    homology.level_homology_ranks(filt)
+    scan = scan_bottom(mirror(g))
     assert len(calls) == 6
+    filt = two_step_from_levels(scan.calc, scan.levels)
+    assert filt is scan.levels[0]
+    assert [lc.alex2 for lc in scan.levels] == [-20]
+    assert list(filt.blocks) == list(range(-24, -11, 2))
+    calls.clear()
+    assert list(induced_map_ranks(scan.calc, filt)) == [0, 0]
+    assert not tau_top_is_g(g, mirror_scan=scan)
+    assert len(calls) == 0
 
 
 def test_scan_checks_each_level_euler_characteristic(monkeypatch):
@@ -362,14 +378,18 @@ def test_scan_checks_each_level_euler_characteristic(monkeypatch):
 
 def test_scan_refuses_the_level_over_budget_before_its_boundary(monkeypatch):
     """The levels -12 (18 states) and -10 (378) of this 7-grid pass a
-    budget of 395: -10 is refused while it is enumerated, so only -12
-    gets a boundary pass, and the error names the tail and the budget."""
+    budget of 395: -10 is refused while it is enumerated, so only the
+    block pairs of -12 get boundary passes, and the error names the tail
+    and the budget."""
     g = make_grid([6, 5, 1, 0, 2, 4, 3], [5, 2, 4, 1, 3, 0, 6])
     right = homology.boundary_entries
     sources = []
+    levels = []
+    alex2 = GradingCalculator(g).alex2_batch
 
     def counted(counter, srcs, targets, mode):
         sources.append(len(srcs))
+        levels.extend(alex2(srcs).tolist())
         return right(counter, srcs, targets, mode)
 
     monkeypatch.setattr(homology, "boundary_entries", counted)
@@ -377,11 +397,15 @@ def test_scan_refuses_the_level_over_budget_before_its_boundary(monkeypatch):
     assert [(lc.alex2, lc.size) for lc in scan.levels][:2] == [(-12, 18),
                                                                 (-10, 378)]
     sources.clear()
+    levels.clear()
     with pytest.raises(GridResourceError,
                        match="levels up to -10 hold at least 396 generators, "
                              "over the budget 395$"):
         scan_bottom(g, max_generators=395)
-    assert sources == [18]
+    # The blocks of -12 with a block two below them, lowest first; no
+    # pass follows the refusal of -10.
+    assert sources == [4, 7, 5, 1]
+    assert set(levels) == {-12}
     # Through the CLI, on knot_5_2_7 (minimal), whose scan stops at its
     # first level, -14, of 4 states: a budget of 3 refuses that level.
     sources.clear()

@@ -340,13 +340,15 @@ def test_verify_d2_catches_one_flipped_entry():
         calc = GradingCalculator(g)
         for a2 in range(calc.level_floor(), calc.level_ceiling() + 1, 2):
             lc = build_level_complex(calc, a2)
-            verify_d2(lc.rows, lc.cols, lc.size)
-            has_boundary = set(lc.cols.tolist())
-            for i in range(len(lc.rows)):
-                if int(lc.rows[i]) in has_boundary:
-                    keep = np.arange(len(lc.rows)) != i
+            rows, cols = boundary_entries(calc.rectangles, lc.gens, lc.gens,
+                                          MODE_LEVEL)
+            verify_d2(rows, cols, lc.size)
+            has_boundary = set(cols.tolist())
+            for i in range(len(rows)):
+                if int(rows[i]) in has_boundary:
+                    keep = np.arange(len(rows)) != i
                     with pytest.raises(InconsistentComplex, match="from generator"):
-                        verify_d2(lc.rows[keep], lc.cols[keep], lc.size)
+                        verify_d2(rows[keep], cols[keep], lc.size)
                     flipped += 1
                     break
     assert flipped >= 3

@@ -172,8 +172,10 @@ def test_traced_murasugi_scans_each_link_once(spans):
     # One scan per link, of its mirror: it declares the summands'
     # indices, gives Theorem 1 the bottom groups and τ its tail.  Each
     # link's tail is one level after simplification, and τ stops at its
-    # first slice, so every link takes one calculator, two Maslov
-    # gradings (the level, the slice pair) and two boundaries.
+    # first slice, so every link takes one calculator and two Maslov
+    # gradings (the level, the slice pair).  The boundary passes are one
+    # per block pair of the scanned levels (two in all) and one per τ
+    # slice (three).
     tracer = spans.Tracer()
     tracer.install(gridhfk)
     try:
@@ -187,7 +189,7 @@ def test_traced_murasugi_scans_each_link_once(spans):
             "invariants.tau_top_is_g"} <= set(names)
     assert names["gradings.calculator_init"] == 3
     assert names["generators.generators_up_to"] == 0
-    assert names["rectangles.boundary_entries"] == 6
+    assert names["rectangles.boundary_entries"] == 5
     assert names["gradings.maslov2_batch"] == 6
     assert "invariants.genus2" not in names
 

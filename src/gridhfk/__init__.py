@@ -10,8 +10,8 @@ point from its module:
 
   * ``grids``: ``GridDiagram``, ``make_grid``, ``parse_grid``,
     ``load_grid``, ``format_grid``, ``mirror``, ``connected_sum``,
-    ``simplify``, ``count_components``, and the bundled corpus
-    (``load_corpus``, ``list_corpus``, ``corpus_path``,
+    ``simplify``, ``count_components``, ``legendrian_front``, and the
+    bundled corpus (``load_corpus``, ``list_corpus``, ``corpus_path``,
     ``corpus_case_path``);
   * ``invariants``: ``hat_ranks``, ``bottom_group``, ``top_group``,
     ``scan_bottom``, ``genus2``, ``tau_top_is_g``,

@@ -106,6 +106,44 @@ def mirror(grid):
     )
 
 
+def legendrian_front(grid):
+    """Thurston–Bennequin and rotation numbers (tb, rot) of the grid's
+    Legendrian front.
+
+    Turned 45 degrees counter-clockwise, a grid is a front of its link
+    (Ozsváth–Szabó–Thurston): vertical strands run X to O, horizontal
+    strands O to X, and vertical crosses over horizontal.  The cusps are
+    the markings whose two strands leave right-and-down (left cusps) or
+    left-and-up (right cusps); a cusp is a down cusp when the strand
+    passes it downward in the front, so at an X leaving right or at an O
+    leaving left.  tb = writhe - #cusps / 2 and
+    rot = (#down - #up cusps) / 2.  A grid and its mirror have
+    complementary cusps and opposite writhes, so their tb sum to -n.
+    """
+    n = grid.n
+    x, o = grid.x_cols, grid.o_cols
+    x_row, o_row = _inverses(x, o)
+    writhe = 0
+    for c in range(n):
+        lo, hi = sorted((x_row[c], o_row[c]))
+        up = o_row[c] > x_row[c]
+        for r in range(lo + 1, hi):
+            if min(x[r], o[r]) < c < max(x[r], o[r]):
+                # Vertical over horizontal: positive when one strand runs
+                # up and the other left, or down and right.
+                writhe += 1 if up != (x[r] > o[r]) else -1
+    cusps = down = 0
+    for r in range(n):
+        # The X of row r, then its O: whether the marking's horizontal
+        # strand leaves right, and its vertical strand leaves up.
+        for right, up, is_x in ((o[r] > x[r], o_row[x[r]] > r, True),
+                                (x[r] > o[r], x_row[o[r]] > r, False)):
+            if right != up:
+                cusps += 1
+                down += right == is_x
+    return writhe - cusps // 2, down - cusps // 2
+
+
 def _rotate_columns(grid, shift):
     # Torus translation: column c moves to (c + shift) mod n.
     n = grid.n

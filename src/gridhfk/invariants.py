@@ -13,8 +13,14 @@ them.  The genus is minus the corrected bottom grading.
 
 Tau extremality asks whether the inclusion of the bottom filtration
 window, the generators at or below the scan's last level, induces a
-nonzero map on total homology.  That window is the scanned tail, so τ
-runs on the scan's calculator and tail (``BottomScan.tau_extremal``).
+nonzero map on total homology.  For a knot the grid's Legendrian front
+answers first (``grids.legendrian_front``): Plamenevskaya's bound
+tb + |rot| <= 2τ - 1 and τ <= g make tb + |rot| + 1 = 2g on the
+mirror's front a proof of τ = -g, and no slice is listed.  Both fronts
+are checked against the bound on every knot τ call, which catches a
+scanned genus that is too low.  Links, and knots the front does not
+certify, compute the flag.  The window is the scanned tail, so τ runs
+on the scan's calculator and tail (``BottomScan.tau_extremal``).
 A one-level tail is the window itself, filtered boundary and all, so τ
 reads the block ranks the scan made; a longer tail is joined by
 ``homology.two_step_from_levels`` and its window blocks ranked with the
@@ -57,7 +63,7 @@ from .generators import DEFAULT_MAX_GENERATORS, graded_levels, level_counts
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
 from .gradings import GradingCalculator
-from .grids import count_components, mirror
+from .grids import GridDiagram, count_components, legendrian_front, mirror
 from .homology import (
     # Unused here, but perfbench's traced run wraps the three names marked
     # F401 in this module.
@@ -111,14 +117,16 @@ class BottomScan:
     """The lowest non-empty Alexander levels of one grid, up to the first
     with homology.
 
-    ``levels`` are their LevelComplexes in increasing alex2, as
-    ``walk_levels`` yields them, each holding its block ranks, not its
-    boundary entries; ``ranks`` are the tilde ranks of the last.
+    ``grid`` is the scanned grid; ``levels`` are their LevelComplexes in
+    increasing alex2, as ``walk_levels`` yields them, each holding its
+    block ranks, not its boundary entries; ``ranks`` are the tilde ranks
+    of the last.
     """
 
     calc: GradingCalculator
     levels: list
     ranks: dict
+    grid: GridDiagram
 
     @property
     def group(self):
@@ -132,13 +140,44 @@ class BottomScan:
     def tau_extremal(self, max_generators=DEFAULT_MAX_GENERATORS):
         """Whether τ_bot = -g for the scanned grid.
 
-        True exactly when the subcomplex of the generators at or below the
-        last level, -genus2 - 2(n - l), includes into the full filtered
-        complex with a nonzero map on homology: some Maslov slice term of
-        ``induced_map_ranks`` is positive, and the slices stop at the first.
+        For a knot, the Legendrian front of the mirror is read first
+        (``_front_certifies``): when it proves τ = -g, the answer is True
+        and no slice is listed.  Otherwise, and for every link, the answer
+        is computed: True exactly when the subcomplex of the generators at
+        or below the last level, -genus2 - 2(n - l), includes into the
+        full filtered complex with a nonzero map on homology, that is,
+        some Maslov slice term of ``induced_map_ranks`` is positive, and
+        the slices stop at the first.
         """
+        if self.calc.components == 1 and self._front_certifies():
+            return True
         filt = two_step_from_levels(self.calc, self.levels)
         return any(induced_map_ranks(self.calc, filt, max_generators))
+
+    def _front_certifies(self):
+        """Whether the mirror's Legendrian front proves τ = -g for the
+        scanned knot S; InconsistentComplex when either front breaks its
+        bound.
+
+        Plamenevskaya's bound tb + |rot| <= 2τ - 1 holds for the front of
+        every grid of a knot, and τ <= g, so tb + |rot| + 1 <= 2g for
+        the fronts of S and of its mirror; a front past 2g means the
+        scan's genus is too low.  Equality on the mirror's front gives
+        τ(mirror S) = g, which is τ(S) = -g.  The two tb must sum to -n.
+        """
+        genus2 = -self.group.alex2
+        tb, rot = legendrian_front(self.grid)
+        tb_m, rot_m = legendrian_front(mirror(self.grid))
+        if tb + tb_m != -self.calc.n:
+            raise InconsistentComplex(
+                f"Thurston-Bennequin numbers {tb} and {tb_m} of a grid and "
+                f"its mirror do not sum to -n = {-self.calc.n}")
+        for bound in (tb + abs(rot) + 1, tb_m + abs(rot_m) + 1):
+            if bound > genus2:
+                raise InconsistentComplex(
+                    f"a Legendrian front gives tb + |rot| + 1 = {bound}, "
+                    f"above the scanned doubled genus {genus2}")
+        return tb_m + abs(rot_m) + 1 == genus2
 
 
 def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS):
@@ -159,7 +198,7 @@ def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS):
     for lc, ranks in walk:
         levels.append(lc)
         if ranks:
-            return BottomScan(calc, levels, ranks)
+            return BottomScan(calc, levels, ranks, grid)
     raise InconsistentComplex("no nonzero homology level found")
 
 

@@ -21,7 +21,9 @@ its mirror (``mirror_scans``, or ``checked_mirror_scan`` one link at a
 time), which a caller makes once and hands to both.  The scan gives the
 link's bottom group by the hat symmetry (``ExtremalGroup.mirrored``)
 for the first check, and τ_top for the second, whose filtration window
-is the scanned tail.
+is the scanned tail.  For a knot, the Legendrian front of the grid
+answers τ_top = g before any Maslov slice is listed, whenever
+tb + |rot| + 1 = 2g proves it (``BottomScan.tau_extremal``).
 Declared indices are cross-checked against the computed bottom Alexander
 levels; a disagreement raises IndexMismatch (the declared surface cannot
 have been minimal) instead of reporting a verdict.

@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -186,37 +189,78 @@ def test_murasugi_connect():
 
 
 def test_murasugi_resource_bound_is_exit_3():
-    # The sum runs on an 8-grid.  τ stops at the first Maslov slice that
-    # survives, but listing that slice and the one above it (21 + 238
-    # states) passes the budget.
-    code, out, err = invoke("--max-generators", "100", "murasugi",
-                            "--connect", "corpus:trefoil5", "corpus:trefoil6")
+    # Hopf links, so every τ flag is computed.  The sum runs on a 6-grid,
+    # and its τ stops at the first Maslov slice that survives, but
+    # listing that slice and the one above it (5 + 41 states) passes the
+    # budget; 46 would do.
+    code, out, err = invoke("--max-generators", "45", "murasugi",
+                            "--connect", "corpus:hopf_plus4",
+                            "corpus:hopf_plus4")
     assert code == 3 and not out
     assert len(err.strip().splitlines()) == 1
     assert "GridResourceError" in err
+    assert invoke("--max-generators", "46", "murasugi", "--connect",
+                  "corpus:hopf_plus4", "corpus:hopf_plus4")[0] == 0
 
 
 def test_murasugi_tau_lists_only_the_slices_it_visits():
-    # τ of the sum, simplified from n = 9 to 8, stops at its lowest
-    # needed Maslov slice, which contributes: that slice and the one
-    # above it hold 21 + 238 states.  The next needed slice and the one
-    # above it hold 238 + 1 148, and the full 8-grid 40 320, so a τ that
-    # went past its first slice, or listed its slices together, would
-    # pass the budget of 300.
+    # The sum is a link, simplified from n = 8 to 7, so its τ is computed
+    # and stops at its lowest needed Maslov slice, which contributes:
+    # that slice and the one above it hold 15 + 126 states.  The next
+    # needed slice and the one above it hold 126 + 453, and the full
+    # 7-grid 5 040, so a τ that went past its first slice, or listed its
+    # slices together, would pass the budget of 300.
     code, out, err = invoke("--max-generators", "300", "murasugi",
-                            "--connect", "corpus:trefoil5", "corpus:trefoil6")
+                            "--connect", "corpus:trefoil5",
+                            "corpus:hopf_plus4")
     assert code == 0 and not err
     assert out.count("pass") == 2
 
 
 def test_murasugi_tau_stays_within_a_budget_below_n_factorial():
-    # The sum, simplified from n = 11 to 10, has 10! > 10^6 states; τ
-    # enumerates only its slices.
+    # The sum, simplified from n = 11 to 10, has 10! > 10^6 states; the
+    # scans list their bottom levels only, and the Legendrian fronts
+    # answer all three τ flags.
     code, out, err = invoke("--max-generators", "1000000", "murasugi",
                             "--connect", "corpus:torus_2_5_7",
                             "corpus:trefoil5")
     assert code == 0 and not err
     assert out.count("pass") == 2
+
+
+# Runs the 13-grid sum knot_5_2_7 # knot_5_2_7 in a child process that
+# caps its own address space at 3 GB, so a τ that lists its slices again
+# stops at the generator budget or the cap (exit 3) instead of swapping.
+REACH_13 = """
+import io, json, resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from gridhfk.cli import run
+out, err = io.StringIO(), io.StringIO()
+code = run(["--json", "murasugi", "--connect", "corpus:knot_5_2_7",
+            "corpus:knot_5_2_7"], out=out, err=err)
+print(json.dumps([code, err.getvalue(), out.getvalue()]))
+"""
+
+
+def test_murasugi_connect_knot_5_2_7_twice_on_a_13_grid_under_3_gb():
+    # The sum is simplified from n = 13 only to 13.  Its τ_top computed
+    # from slices stops at the 3 * 10^6 generator budget; the Legendrian
+    # fronts answer all three τ flags instead.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HFK_CORPUS", None)
+    done = subprocess.run([sys.executable, "-c", REACH_13], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, err, out = json.loads(done.stdout)
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["grid_sizes"]["sum"] == [13, 13]
+    theorem2 = data["results"]["theorem2"]
+    assert theorem2["details"] == {"summand1_tau_top_is_g": True,
+                                   "summand2_tau_top_is_g": True,
+                                   "sum_tau_top_is_g": True}
+    assert theorem2["passed"] and data["results"]["theorem1"]["passed"]
 
 
 def test_murasugi_connect_knot_5_2_7_trefoil5_on_a_10_grid():

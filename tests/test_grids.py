@@ -14,10 +14,14 @@ from gridhfk.errors import (
     SizeMismatch,
 )
 from gridhfk.grids import (
+    _commutations,
+    _rotate_columns,
+    _rotate_rows,
     connected_sum,
     corpus_dir,
     count_components,
     format_grid,
+    legendrian_front,
     list_corpus,
     load_corpus,
     make_grid,
@@ -108,6 +112,48 @@ def test_mirror_preserves_components():
     for _ in range(50):
         g = random_grid(rng, int(rng.integers(2, 8)))
         assert count_components(mirror(g)) == count_components(g)
+
+
+# --------------------------------------------------------------------------
+# Legendrian front
+
+
+def test_front_of_corpus_knots():
+    # (tb, rot) of each grid and of its mirror.  The right-handed
+    # trefoil's and T(2,5)'s fronts reach the maximal tb, 1 and 3; the
+    # figure-eight's fronts reach -3 on both sides.
+    fronts = {name: (legendrian_front(load_corpus(name)),
+                     legendrian_front(mirror(load_corpus(name))))
+              for name in ("trefoil5", "trefoil_left5", "figure_eight6",
+                           "knot_5_2_7", "torus_2_5_7", "unknot3")}
+    assert fronts == {
+        "trefoil5": ((1, 0), (-6, 1)),
+        "trefoil_left5": ((-6, 1), (1, 0)),
+        "figure_eight6": ((-3, 0), (-3, 0)),
+        "knot_5_2_7": ((1, 0), (-8, 1)),
+        "torus_2_5_7": ((3, 0), (-10, 3)),
+        "unknot3": ((-2, -1), (-1, 0)),
+    }
+
+
+def test_front_of_grid_and_mirror_have_tb_summing_to_minus_n():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        g = random_grid(rng, int(rng.integers(2, 9)))
+        assert legendrian_front(g)[0] + legendrian_front(mirror(g))[0] == -g.n
+
+
+def test_front_is_kept_by_translations_and_commutations():
+    """Torus translations and commutations are Legendrian isotopies of
+    the front (Ozsváth–Szabó–Thurston), so tb and rot do not move."""
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        g = random_grid(rng, int(rng.integers(2, 9)))
+        front = legendrian_front(g)
+        moved = [make_grid(x, o) for x, o in _commutations(g.x_cols, g.o_cols)]
+        for s in range(1, g.n):
+            moved += [_rotate_columns(g, s), _rotate_rows(g, s)]
+        assert all(legendrian_front(h) == front for h in moved), g
 
 
 # --------------------------------------------------------------------------

@@ -6,14 +6,16 @@ rank tables for these links; the tests pin the library to those values.
 Grading pairs are written (maslov2, alex2) in doubled coordinates.
 """
 
+import dataclasses
 import io
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridhfk import homology
+from gridhfk import homology, invariants
 from gridhfk.cli import run
 from gridhfk.errors import (
     GridResourceError,
@@ -222,6 +224,13 @@ def test_genus_values_and_mirror_invariance():
         assert genus2(mirror(g)) == want, name
 
 
+def computed_tau_flag(scan):
+    """The τ flag of a scan from its Maslov slices, never from a
+    Legendrian front."""
+    filt = two_step_from_levels(scan.calc, scan.levels)
+    return any(induced_map_ranks(scan.calc, filt))
+
+
 def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
     """HFK_d(a) = HFK_{d-2a}(-a): the top group sits at the genus, and a
     link and its mirror have the same genus.  The Murasugi checks rely on
@@ -238,7 +247,12 @@ def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
         if g.n <= 5:
             scan = scan_bottom(mirror(g))
             assert scan.group.mirrored() == bottom_group(g)
-            assert tau_top_is_g(g, mirror_scan=scan) == tau_top_is_g(g)
+            m = mirror(g)
+            want = oracle_inclusion_rank(m.x_cols, m.o_cols,
+                                         scan.levels[-1].alex2) > 0
+            assert computed_tau_flag(scan) == want, g
+            assert tau_top_is_g(g, mirror_scan=scan) == want, g
+            assert tau_top_is_g(g) == want, g
     assert links
 
 
@@ -282,6 +296,7 @@ def test_mirror_scans_of_multi_level_tails_match_the_oracle():
         assert scan.levels[-1].alex2 == cutoff, g
         want = oracle_inclusion_rank(m.x_cols, m.o_cols, cutoff) > 0
         assert tau_top_is_g(g, mirror_scan=scan) == want, g
+        assert computed_tau_flag(scan) == want, g
         tail = two_step_from_levels(scan.calc, scan.levels)
         window = build_two_step(scan.calc, cutoff)
         assert np.all(np.diff(tail.maslov2) >= 0), g
@@ -448,6 +463,98 @@ def test_tau_flags_swap_under_mirror():
         g = corpus(name)
         assert tau_top_is_g(mirror(g)) == tau_bot_is_minus_g(g)
         assert tau_bot_is_minus_g(mirror(g)) == tau_top_is_g(g)
+
+
+# --------------------------------------------------------------------------
+# the Legendrian front's τ certificate
+
+# The nontrivial corpus knots whose simplified pairwise sums the front
+# is checked on, and the ordered pairs left out because their τ_top,
+# computed from Maslov slices, takes over a second: 8 s for
+# knot_5_2_7 # torus_2_5_7, and past the 3 * 10^6 generator budget for
+# knot_5_2_7 # knot_5_2_7 (n = 13).  The front certifies both.
+PAIR_KNOTS = ("trefoil5", "trefoil_left5", "figure_eight6", "knot_5_2_7",
+              "torus_2_5_7")
+SLOW_PAIRS = {("knot_5_2_7", "torus_2_5_7"), ("knot_5_2_7", "knot_5_2_7")}
+
+
+def test_front_fires_on_the_corpus_knots_exactly_where_tau_is_extremal():
+    for name, flags in TAU_FLAGS.items():
+        g = corpus(name)
+        if count_components(g) > 1:
+            continue
+        fronts = tuple(scan_bottom(side)._front_certifies()
+                       for side in (g, mirror(g)))
+        assert fronts == flags, name
+        assert tuple(computed_tau_flag(scan_bottom(side))
+                     for side in (g, mirror(g))) == flags, name
+
+
+def test_front_certificate_implies_the_computed_flag():
+    """tb + |rot| <= 2τ - 1 and τ <= g make the mirror front's equality a
+    proof of τ = -g, so wherever it fires the flag computed from the
+    slices is True: on random knot grids up to n = 7, on both sides, and
+    on the simplified sums of nontrivial corpus knots that compute
+    within a second, where it fires on 8 of 46 sides."""
+    rng = np.random.default_rng(53)
+    grids = []
+    while len(grids) < 60:
+        g = random_grid(rng, int(rng.integers(3, 8)))
+        if count_components(g) == 1:
+            grids.append(g)
+    sums = [simplify(connected_sum(corpus(a), corpus(b)))
+            for a, b in product(PAIR_KNOTS, repeat=2)
+            if (a, b) not in SLOW_PAIRS]
+    fired = []
+    for g in grids + sums:
+        for side in (g, mirror(g)):
+            scan = scan_bottom(side)
+            if scan._front_certifies():
+                fired.append(g in sums)
+                assert computed_tau_flag(scan), side
+    assert fired.count(True) == 8
+    assert fired.count(False) > 20
+
+
+def test_front_never_answers_a_link(monkeypatch):
+    calls = []
+    right = invariants.legendrian_front
+
+    def counted(grid):
+        calls.append(grid)
+        return right(grid)
+
+    monkeypatch.setattr(invariants, "legendrian_front", counted)
+    for name in ("hopf_plus4", "hopf_minus4"):
+        g = corpus(name)
+        assert (tau_bot_is_minus_g(g), tau_top_is_g(g)) == TAU_FLAGS[name]
+    assert calls == []
+    assert tau_top_is_g(corpus("trefoil5"))
+    assert len(calls) == 2
+
+
+def test_a_genus_one_too_low_trips_the_front_bound():
+    """Both fronts must satisfy tb + |rot| + 1 <= 2g.  The scan of the
+    mirror of trefoil5 with its last level raised by one genus claims
+    2g = 0, which the trefoil's front (tb 1, rot 0) exceeds."""
+    scan = scan_bottom(mirror(corpus("trefoil5")))
+    assert scan.tau_extremal()
+    last = scan.levels[-1]
+    scan.levels[-1] = dataclasses.replace(last, alex2=last.alex2 + 2)
+    with pytest.raises(InconsistentComplex,
+                       match="tb [+] [|]rot[|] [+] 1 = 2, above the scanned "
+                             "doubled genus 0"):
+        scan.tau_extremal()
+
+
+def test_fronts_whose_tb_do_not_sum_to_minus_n_exit_1(monkeypatch):
+    monkeypatch.setattr(invariants, "legendrian_front", lambda grid: (0, 0))
+    with pytest.raises(InconsistentComplex, match="do not sum to -n = -5"):
+        tau_top_is_g(corpus("trefoil5"))
+    err = io.StringIO()
+    assert run(["murasugi", "--connect", "corpus:trefoil5", "corpus:trefoil6"],
+               out=io.StringIO(), err=err) == 1
+    assert err.getvalue().startswith("InconsistentComplex")
 
 
 # --------------------------------------------------------------------------

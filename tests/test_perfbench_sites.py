@@ -171,11 +171,13 @@ def test_traced_bottom_window_enumerates_each_level_once(spans):
 def test_traced_murasugi_scans_each_link_once(spans):
     # One scan per link, of its mirror: it declares the summands'
     # indices, gives Theorem 1 the bottom groups and τ its tail.  Each
-    # link's tail is one level after simplification, and τ stops at its
-    # first slice, so every link takes one calculator and two Maslov
-    # gradings (the level, the slice pair).  The boundary passes are one
-    # per block pair of the scanned levels (two in all) and one per τ
-    # slice (three).
+    # link's tail is one level after simplification.  The Legendrian
+    # front answers τ for trefoil5, which grades its level only; the
+    # hopf_plus4 summand and the sum are links, whose τ stops at its
+    # first slice and grades the slice pair too.  So every link takes one
+    # calculator, and there are five Maslov gradings.  The boundary
+    # passes are one per block pair of the scanned levels (two in all)
+    # and one per computed τ slice (two).
     tracer = spans.Tracer()
     tracer.install(gridhfk)
     try:
@@ -189,16 +191,28 @@ def test_traced_murasugi_scans_each_link_once(spans):
             "invariants.tau_top_is_g"} <= set(names)
     assert names["gradings.calculator_init"] == 3
     assert names["generators.generators_up_to"] == 0
-    assert names["rectangles.boundary_entries"] == 5
-    assert names["gradings.maslov2_batch"] == 6
+    assert names["rectangles.boundary_entries"] == 4
+    assert names["gradings.maslov2_batch"] == 5
     assert "invariants.genus2" not in names
 
 
 def test_traced_tau_images_only_the_slices_it_visits(spans):
-    # τ stops at the first Maslov slice that survives: one image for each
-    # summand and one for the sum (an 8-grid after simplification), whose
-    # lowest slice contributes.
-    records = traced_run(spans, ["murasugi", "--connect", "corpus:trefoil5",
-                                 "corpus:trefoil6"])
+    # Hopf links, so τ is computed for every link, and it stops at the
+    # first Maslov slice that survives: one image for each summand and
+    # one for the sum (a 6-grid after simplification), whose lowest
+    # slice contributes.
+    records = traced_run(spans, ["murasugi", "--connect", "corpus:hopf_plus4",
+                                 "corpus:hopf_plus4"])
     assert sum(1 for name, _, _ in records
                if name == "gf2.image_in_prefix") == 3
+
+
+def test_traced_tau_of_fronted_knots_images_no_slice(spans):
+    # The Legendrian fronts answer all three τ flags of trefoil5 #
+    # trefoil6, so no Maslov slice is listed and none is imaged.
+    records = traced_run(spans, ["murasugi", "--connect", "corpus:trefoil5",
+                                 "corpus:trefoil6"])
+    names = Counter(name for name, _, _ in records)
+    assert names["invariants.tau_top_is_g"] == 3
+    assert names["gf2.image_in_prefix"] == 0
+

@@ -20,11 +20,10 @@ from gridhfk.homology import (
     BigradedRanks,
     build_level_complex,
     deflate_to_hat,
-    homology_ranks,
     inflate,
     verify_d2,
 )
-from gridhfk.invariants import hat_ranks
+from gridhfk.invariants import hat_ranks, homology_ranks
 from gridhfk.rectangles import MODE_LEVEL, boundary_entries
 
 
@@ -94,7 +93,9 @@ hat6 = deflate_to_hat(homology_ranks(tre6), tre6.n - 1)
 assert hat5 == hat6
 print("\nHat table from the 5 x 5 grid (identical from the 6 x 6 one):")
 show_table(hat5)
-print(f"\n  hat_ranks() wraps this pipeline: total rank {hat_ranks(tre5).total_rank()}.")
+assert hat_ranks(tre5) == hat5
+print(f"\n  hat_ranks() returns this table as it builds it (homology_ranks()"
+      f" is it inflated): total rank {hat_ranks(tre5).total_rank()}.")
 
 print()
 print("=" * 66)

@@ -13,12 +13,12 @@ point from its module:
     ``simplify``, ``count_components``, ``legendrian_front``, and the
     bundled corpus (``load_corpus``, ``list_corpus``, ``corpus_path``,
     ``corpus_case_path``);
-  * ``invariants``: ``hat_ranks``, ``bottom_group``, ``top_group``,
+  * ``invariants``: ``hat_ranks``, ``homology_ranks`` (the tilde
+    table, the hat inflated), ``bottom_group``, ``top_group``,
     ``scan_bottom``, ``genus2``, ``tau_top_is_g``,
     ``tau_bot_is_minus_g`` and ``alexander_polynomial``;
-  * ``homology``: ``homology_ranks`` (the tilde table),
-    ``build_level_complex``, ``deflate_to_hat``, ``inflate`` and
-    ``induced_map_rank``;
+  * ``homology``: ``build_level_complex``, ``deflate_to_hat``,
+    ``inflate`` and ``induced_map_rank``;
   * ``murasugi``: ``load_case``, ``make_connected_sum_case``,
     ``mirror_scans``, ``verify_theorem1``, ``verify_theorem2`` and
     ``cable_top_group_predict``;

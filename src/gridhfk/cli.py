@@ -49,12 +49,13 @@ from .grids import (
     mirror,
     simplify,
 )
-from .homology import homology_ranks, inflate
+from .homology import inflate
 from .invariants import (
     bottom_group,
     # Unused here, but perfbench's traced run wraps this name in this module.
     genus2,  # noqa: F401
     hat_ranks,
+    homology_ranks,
     scan_bottom,
     top_group,
 )

@@ -4,8 +4,10 @@ enumeration.
 
 Generators are permutations stored as (m, n) arrays, one row per
 generator, entry [i, c] being the row of the point on vertical circle
-c.  Graded enumeration returns uint8 arrays in lexicographic order,
-and every routine takes the grid's GradingCalculator.  The full set
+c.  Graded enumeration returns uint8 arrays in lexicographic order;
+``graded_generators`` also returns the grading each row was enumerated
+by, which its callers read instead of grading the rows again.  Every
+routine takes the grid's GradingCalculator.  The full set
 of n! generators is listed only by ``enumerate_all``, which no command
 calls.
 
@@ -163,9 +165,11 @@ def graded_levels(calc, grading):
 def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERATORS):
     """All generators whose alex2 or maslov2 lies in ``targets``.
 
-    ``grading`` is "alex" (alex2) or "maslov" (maslov2).  Returns a
-    uint8 (m, n) array in lexicographic order, (0, n) when no generator
-    is graded in the targets.  The permutations grow column by column:
+    ``grading`` is "alex" (alex2) or "maslov" (maslov2).  Returns
+    (rows, values): a uint8 (m, n) array in lexicographic order, (0, n)
+    when no generator is graded in the targets, and the int64 (m,)
+    grading of each row, the value it was enumerated by, so no caller
+    grades the rows again.  The permutations grow column by column:
     each alive partial expands into its free rows in increasing order,
     and a child lives on only when the completion table says some
     completion lands in a target.  So every alive partial has a
@@ -178,7 +182,7 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
     rel = sorted({(t - base) // 2 for t in targets
                   if (t - base) % 2 == 0 and 0 <= t - base < 2 * width})
     if not rel:
-        return np.empty((0, n), dtype=np.uint8)
+        return np.empty((0, n), dtype=np.uint8), np.empty(0, dtype=np.int64)
     # Column a of ``ahead`` packs hits[a:a + span], a window of one
     # strided view: the targets shifted down by a, in the table's layout.
     span = 64 * len(reach)
@@ -217,7 +221,7 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
     for c in range(n - 1, -1, -1):
         out[:, c] = placed[c][index]
         index = parents[c][index]
-    return out
+    return out, base + 2 * acc
 
 
 def level_counts(calc):
@@ -290,11 +294,11 @@ def generators_in_level(calc, alex2, max_generators=DEFAULT_MAX_GENERATORS):
     Returns an empty (0, n) array when the level is empty; an empty
     level is data, not an error.
     """
-    return graded_generators(calc, "alex", [alex2], max_generators)
+    return graded_generators(calc, "alex", [alex2], max_generators)[0]
 
 
 def generators_up_to(calc, cutoff_alex2, max_generators=DEFAULT_MAX_GENERATORS):
     """All generators with alex2 at most the cutoff."""
     top = min(cutoff_alex2, calc.level_ceiling())
     return graded_generators(calc, "alex", range(calc.level_floor(), top + 1),
-                             max_generators)
+                             max_generators)[0]

@@ -80,7 +80,7 @@ class GradingCalculator:
         """alex2 for an (m, n) array of permutations (any integer dtype)."""
         total = np.full(len(perms), self.alex_const, dtype=np.int64)
         for c in range(self.n):
-            total += self.fa[c][perms[:, c]]
+            total += self.fa[c].take(perms[:, c])
         return total
 
     def maslov2_batch(self, perms):
@@ -100,7 +100,7 @@ class GradingCalculator:
             col1 = cols[c1]
             for c2 in range(c1 + 1, n):
                 ixx += col1 < cols[c2]
-            fm += self.fm[c1][col1]
+            fm += self.fm[c1].take(col1)
         fm += ixx
         fm += ixx  # 2 * ixx, with no int64 temporary
         return fm

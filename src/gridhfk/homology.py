@@ -1,7 +1,7 @@
 """Level complexes, bigraded homology ranks, and τ's filtration window.
 
-The entry points ``homology_ranks`` and ``induced_map_rank`` take a
-grid and build its one GradingCalculator; everything below them,
+The entry point ``induced_map_rank`` takes a grid and builds its one
+GradingCalculator; everything below it,
 ``walk_levels``, ``build_level_complex``, ``build_two_step`` and
 ``induced_map_ranks`` included, takes that calculator, whose completion
 tables and rectangle counts they share.  A boundary's target basis is
@@ -17,26 +17,17 @@ elimination (``_block_ranks``, which τ's window shares).  No entry
 outlives its block pair, so memory follows the largest block pair, not
 the level.
 
-The full table is built from the bottom tail of levels.  The tilde
-homology is the hat tensored with (F2 + F2[-1,-1])^k, k = n - l, so
-tilde level s involves only hat levels s .. s + 2k, and dividing the
-tilde levels s <= -2k by (1 + mt)^k from the bottom gives every hat
-level a2 <= 0.  The hat symmetry HFK_d(a) = HFK_{d-2a}(-a), in doubled
-units (m2, a2) <-> (m2 - 2 a2, -a2), gives the levels a2 > 0, and the
-tilde table is the hat inflated.
-
-One walk, ``walk_levels``, builds the levels of both tails: the table's
-and that of the bottom scan in ``invariants``.  It takes (alex2,
-generators or None) in increasing alex2, builds each level complex,
-gives each enumeration the budget the levels before it left, computes
-the level's ranks and checks its signed generator count against their
-signed sum.  The table hands it its tail split by alex2 from one pass
-of ``generators_up_to``; the subset DP ``level_counts`` sizes that tail
-against the budget beforehand, reports every level's count, and gives
-each level's Euler characteristic, which the finished table must match
-on every call.  No level above the tail is enumerated or graded.  The
-bottom scan hands it one level at a time and stops at the first with
-homology, so it enumerates just the levels it visits.
+One walk, ``walk_levels``, builds the levels of both tails in
+``invariants``: the hat table's and the bottom scan's.  It takes
+(alex2, generators or None) in increasing alex2, builds each level
+complex, gives each enumeration the budget the levels before it left,
+and computes the level's ranks.  A rank is a block's size less the
+ranks out of it and into it, so a boundary rank counted too high shows
+as a negative homology rank, and ``level_homology_ranks`` raises
+InconsistentComplex on one.  The table hands the walk its tail split
+by the alex2 it was enumerated by; the bottom scan hands it one level
+at a time and stops at the first with homology, so it enumerates just
+the levels it visits.
 
 The filtered boundary (X markings allowed) never raises alex2, so the
 generators at or below a cutoff span a subcomplex, τ's window.  It is
@@ -66,12 +57,14 @@ whose bit order lists the window's generators first.  Slices
 outside the Maslov window [-2(n-1), 0] are skipped: the total homology
 of the filtered complex is (F2 + F2[-1]) to the (n-1), so the target
 vanishes there and the induced map contributes nothing.  Every
-slice's term is non-negative, so ``induced_map_ranks`` yields them one
-at a time, lowest slice first, and a caller that needs only whether the
-rank is positive stops at the first positive term.  The full complex is
-read one slice pair (m2, m2 + 2) at a time, when the slice is reached,
-enumerated straight from the Maslov completion table, so time and
-memory scale with the slices visited and not with n!.
+slice's term is non-negative, and a negative one raises
+InconsistentComplex, so ``induced_map_ranks`` yields them one at a
+time, lowest slice first, and a caller that needs only whether the rank
+is positive stops at the first positive term.  The full complex is read
+one slice pair (m2, m2 + 2) at a time, when the slice is reached,
+enumerated straight from the Maslov completion table together with the
+maslov2 of each generator, so time and memory scale with the slices
+visited and not with n!.
 """
 
 from __future__ import annotations
@@ -92,7 +85,6 @@ from .generators import (
     generators_in_level,
     generators_up_to,
     graded_generators,
-    level_counts,
 )
 from .gradings import GradingCalculator
 from .rectangles import MODE_FILTERED, MODE_LEVEL, boundary_entries
@@ -205,37 +197,30 @@ def level_homology_ranks(lc):
     """Homology ranks of one level complex, keyed by maslov2.
 
     The boundary maps the maslov2 = m block into m - 2; the rank at m is
-    dim(block) - rank(out of m) - rank(out of m + 2).
+    dim(block) - rank(out of m) - rank(out of m + 2).  A negative rank,
+    which a boundary rank counted too high gives, raises
+    InconsistentComplex.
     """
     ranks = {}
     for m2, (size, out) in lc.blocks.items():
         r = size - out - lc.blocks.get(m2 + 2, (0, 0))[1]
+        if r < 0:
+            raise InconsistentComplex(f"negative homology rank {r} at "
+                                      f"(maslov2, alex2) = ({m2}, {lc.alex2})")
         if r:
             ranks[m2] = r
     return ranks
 
 
-def _check_level_euler(lc, ranks):
-    """Raise InconsistentComplex unless the level's signed generator count
-    equals the signed sum of its homology ranks."""
-    count = int((1 - 2 * (lc.maslov2 // 2 % 2)).sum())
-    euler = sum(-r if m2 // 2 % 2 else r for m2, r in ranks.items())
-    if count != euler:
-        raise InconsistentComplex(
-            f"Euler characteristic {euler} at alex2 = {lc.alex2} differs "
-            f"from the signed generator count {count}")
-
-
 def walk_levels(calc, levels, max_generators=DEFAULT_MAX_GENERATORS):
-    """Build, rank and check the levels of a tail, lowest first.
+    """Build and rank the levels of a tail, lowest first.
 
     ``levels`` yields (alex2, gens) in increasing alex2, ``gens`` being
     the level's generators, or None to enumerate them.  Yields
-    (LevelComplex, ranks keyed by maslov2) per level once the level's
-    signed generator count has matched the signed sum of its ranks.
-    Each enumeration is given the budget that the levels before it left,
-    so a tail over ``max_generators`` raises GridResourceError before its
-    last level is allocated or any of its rectangles is counted.
+    (LevelComplex, ranks keyed by maslov2) per level.  Each enumeration
+    is given the budget that the levels before it left, so a tail over
+    ``max_generators`` raises GridResourceError before its last level is
+    allocated or any of its rectangles is counted.
     """
     seen = 0
     for s, gens in levels:
@@ -247,9 +232,7 @@ def walk_levels(calc, levels, max_generators=DEFAULT_MAX_GENERATORS):
                 f"the levels up to {s} hold at least {size} generators, "
                 f"over the budget {max_generators}", estimate=size) from None
         seen += lc.size
-        ranks = level_homology_ranks(lc)
-        _check_level_euler(lc, ranks)
-        yield lc, ranks
+        yield lc, level_homology_ranks(lc)
 
 
 @dataclass
@@ -316,55 +299,6 @@ def deflate_to_hat(tilde, k_minus_l, top=None):
     return BigradedRanks(ranks)
 
 
-def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS,
-                   level_sizes=None):
-    """Tilde homology ranks of every level, from the bottom tail of levels.
-
-    With k = n - l, the tilde levels alex2 <= -2k are built and divided
-    by (1 + mt)^k from the bottom, which gives every hat level
-    alex2 <= 0; the symmetry (m2, a2) <-> (m2 - 2 a2, -a2) of the hat
-    gives the rest, and the result is the hat inflated.  The tail is
-    enumerated in one pass after ``level_counts`` has checked its size
-    against the budget, and ``walk_levels`` builds, ranks and checks its
-    levels; no level above it is graded.  The Euler characteristic of
-    every level of the result must equal the signed count from
-    ``level_counts``, or InconsistentComplex is raised.  ``level_sizes``,
-    when given, is a dict that receives the number of generators of
-    every non-empty level, in increasing alex2.
-    """
-    calc = GradingCalculator(grid)
-    k = calc.n - calc.components
-    levels = level_counts(calc)
-    if level_sizes is not None:
-        level_sizes.update((s, count) for s, (count, _) in levels.items())
-    tail = [s for s in levels if s <= -2 * k]
-    size = sum(levels[s][0] for s in tail)
-    if size > max_generators:
-        raise GridResourceError(
-            f"the {size} generators of the levels up to {-2 * k} exceed "
-            f"the budget {max_generators}", estimate=size)
-    gens = generators_up_to(calc, -2 * k, max_generators)
-    alex2 = calc.alex2_batch(gens)
-    walk = walk_levels(calc, ((s, gens[alex2 == s]) for s in tail),
-                       max_generators)
-    ranks = {(m2, lc.alex2): r for lc, level in walk
-             for m2, r in level.items()}
-    hat = deflate_to_hat(BigradedRanks(ranks), k, top=-2 * k).ranks
-    hat.update({(m2 - 2 * a2, -a2): r for (m2, a2), r in hat.items()
-                if a2 < 0})
-    tilde = inflate(BigradedRanks(hat), k)
-    euler = dict.fromkeys(levels, 0)
-    for (m2, a2), r in tilde.ranks.items():
-        euler[a2] = euler.get(a2, 0) + (-r if m2 // 2 % 2 else r)
-    for s, e in euler.items():
-        want = levels.get(s, (0, 0))[1]
-        if e != want:
-            raise InconsistentComplex(
-                f"Euler characteristic {e} at alex2 = {s} differs from the "
-                f"signed generator count {want}")
-    return tilde
-
-
 def _window(calc, alex2, gens, m2):
     """τ's window at alex2 spanned by ``gens``, every generator at or
     below it: the filtered boundary's ranks on the Maslov window blocks."""
@@ -405,9 +339,10 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     blocks inside the Maslov window [-2(n - 1), 0] are read.
 
     Yields, for every needed Maslov slice m2 in increasing order, the
-    number dim Z_S - dim(B meet S) >= 0, where Z_S is the cycle space
-    of the subcomplex in slice m2 and B the image of the full filtered
-    boundary from slice m2 + 2; the rank is their sum.  A boundary in S
+    number dim Z_S - dim(B meet S) >= 0 (InconsistentComplex when it is
+    negative), where Z_S is the cycle space of the subcomplex in slice
+    m2 and B the image of the full filtered boundary from slice m2 + 2;
+    the rank is their sum.  A boundary in S
     is a cycle of S, so B meet S is Z_S meet B.  dim Z_S is the window
     block's size less its rank, and dim(B meet S) the number of image
     pivots under the prefix of window generators.  The needed m2 are
@@ -421,8 +356,8 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
     for m2, (size, out) in filt.blocks.items():
         if not lo <= m2 <= 0 or size == out:
             continue
-        pair = graded_generators(calc, "maslov", {m2, m2 + 2}, max_generators)
-        pair_m2 = calc.maslov2_batch(pair)
+        pair, pair_m2 = graded_generators(calc, "maslov", {m2, m2 + 2},
+                                          max_generators)
         # The full slice at m2 with the window's generators first (low bits).
         slice_gens = pair[pair_m2 == m2]
         inside = calc.alex2_batch(slice_gens) <= filt.alex2
@@ -432,6 +367,8 @@ def induced_map_ranks(calc, filt, max_generators=DEFAULT_MAX_GENERATORS):
         rows, cols = boundary_entries(calc.rectangles, sources, basis,
                                       MODE_FILTERED)
         meet = gf2.image_in_prefix(rows, cols, len(basis), len(sources), size)
+        if len(meet) > size - out:
+            raise InconsistentComplex(f"negative slice term at maslov2 = {m2}")
         yield size - out - len(meet)
 
 

@@ -4,12 +4,11 @@ One scanner serves the extremal groups and τ.  ``scan_bottom`` hands
 the non-empty Alexander levels of a grid, as the alex completion table
 lists them, to ``homology.walk_levels`` lowest first, and stops at the
 first with homology.  Each level complex holds its level boundary only,
-and its signed generator count must equal the signed sum of its ranks
-(0 for the acyclic levels below the bottom), or InconsistentComplex is
-raised.  Corollary-style deflation says the last level carries the hat
-group of the lowest Alexander grading shifted by [k - l], so reported
-gradings are corrected by 2(n - l) before anything downstream sees
-them.  The genus is minus the corrected bottom grading.
+and a negative homology rank raises InconsistentComplex.
+Corollary-style deflation says the last level carries the hat group of
+the lowest Alexander grading shifted by [k - l], so reported gradings
+are corrected by 2(n - l) before anything downstream sees them.  The
+genus is minus the corrected bottom grading.
 
 Tau extremality asks whether the inclusion of the bottom filtration
 window, the generators at or below the scan's last level, induces a
@@ -38,14 +37,22 @@ bottom group, its top group and τ_top; the Murasugi checks scan each
 link once, so.
 
 Each of ``scan_bottom`` (behind ``bottom_group``, ``top_group`` and
-the τ flags), ``state_sum`` and the ``homology`` entry points behind
-``hat_ranks`` builds one GradingCalculator for its grid and shares it
-with every layer beneath.
+the τ flags), ``state_sum`` and ``hat_ranks`` builds one
+GradingCalculator for its grid and shares it with every layer beneath.
 
-The full hat table is the tilde table of ``homology_ranks`` (built
-from the bottom tail of levels and the symmetry, and checked against
-the per-level Euler characteristic on every call) divided by
-(1 + mt)^(n - l).
+The full hat table is built from the bottom tail of levels.  The tilde
+homology is the hat tensored with (F2 + F2[-1,-1])^k, k = n - l, so
+tilde level s involves only hat levels s .. s + 2k, and dividing the
+tilde levels s <= -2k by (1 + mt)^k from the bottom gives every hat
+level a2 <= 0.  The hat symmetry HFK_d(a) = HFK_{d-2a}(-a), in doubled
+units (m2, a2) <-> (m2 - 2 a2, -a2), gives the levels a2 > 0.  The
+subset DP ``level_counts`` reports every level's count, sizes the tail
+against the budget before it is enumerated, and gives each level's
+Euler characteristic, which the hat inflated to the tilde table must
+match on every call.  The tail is enumerated in one pass that hands
+back each generator's alex2, so it is split into levels without being
+graded again; no level above it is enumerated or graded.  The tilde
+table, ``homology_ranks``, is that hat inflated.
 
 The Alexander polynomial is the generator state sum
 sum (-1)^(maslov2/2) t^(alex2/2) divided by (1 - t)^(n-1), symmetrized
@@ -58,20 +65,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentComplex, NegativeIndex, NotAKnot
-from .generators import DEFAULT_MAX_GENERATORS, graded_levels, level_counts
+from .errors import GridResourceError, InconsistentComplex, NegativeIndex, NotAKnot
+from .generators import (DEFAULT_MAX_GENERATORS, graded_generators,
+                         graded_levels, level_counts)
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
 from .gradings import GradingCalculator
 from .grids import GridDiagram, count_components, legendrian_front, mirror
 from .homology import (
+    BigradedRanks,
     # Unused here, but perfbench's traced run wraps the three names marked
     # F401 in this module.
     build_level_complex,  # noqa: F401
     deflate_to_hat,
-    homology_ranks,
     induced_map_rank,  # noqa: F401
     induced_map_ranks,
+    inflate,
     level_homology_ranks,  # noqa: F401
     two_step_from_levels,
     walk_levels,
@@ -185,9 +194,8 @@ def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS):
 
     Only the levels that hold generators are visited, as the alex
     completion table lists them (``graded_levels``), one at a time by
-    ``walk_levels``, which checks each level's Euler characteristic;
-    termination is guaranteed because the total tilde homology is
-    nonzero.  The scanned tail is kept, and GridResourceError is raised,
+    ``walk_levels``; termination is guaranteed because the total tilde
+    homology is nonzero.  The scanned tail is kept, and GridResourceError is raised,
     before the level that passes it is listed, once it would hold more
     than ``max_generators``.
     """
@@ -247,17 +255,58 @@ def tau_top_is_g(grid, max_generators=DEFAULT_MAX_GENERATORS,
 
 
 def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
-    """Full bigraded hat homology: tilde ranks deflated.
+    """Full bigraded hat homology, from the bottom tail of levels.
 
-    The tilde homology equals hat tensor (F2 + F2[-1,-1])^(n - l), so
-    the exact division lands in the hat normalization directly.
-    ``homology_ranks`` builds the tilde table from the hat levels of
-    the bottom tail and their mirror images, with its Euler check, so
-    this division of the whole table also rechecks that it is exact.
-    ``level_sizes`` is handed to ``homology_ranks``.
+    With k = n - l, the tilde levels alex2 <= -2k are built and divided
+    by (1 + mt)^k from the bottom, which gives every hat level
+    alex2 <= 0; the symmetry (m2, a2) <-> (m2 - 2 a2, -a2) of the hat
+    gives the rest.  The tail is enumerated in one pass, split by the
+    alex2 each generator was enumerated by, after ``level_counts`` has
+    checked its size against the budget, and ``walk_levels`` builds and
+    ranks its levels; no level above it is graded.  The Euler
+    characteristic of every level of the hat inflated to the tilde table
+    must equal the signed count from ``level_counts``, or
+    InconsistentComplex is raised.  ``level_sizes``, when given, is a
+    dict that receives the number of generators of every non-empty
+    level, in increasing alex2.
     """
-    tilde = homology_ranks(grid, max_generators, level_sizes)
-    return deflate_to_hat(tilde, grid.n - count_components(grid))
+    calc = GradingCalculator(grid)
+    k = calc.n - calc.components
+    levels = level_counts(calc)
+    if level_sizes is not None:
+        level_sizes.update((s, count) for s, (count, _) in levels.items())
+    tail = [s for s in levels if s <= -2 * k]
+    size = sum(levels[s][0] for s in tail)
+    if size > max_generators:
+        raise GridResourceError(
+            f"the {size} generators of the levels up to {-2 * k} exceed "
+            f"the budget {max_generators}", estimate=size)
+    gens, alex2 = graded_generators(calc, "alex", tail, max_generators)
+    walk = walk_levels(calc, ((s, gens[alex2 == s]) for s in tail),
+                       max_generators)
+    ranks = {(m2, lc.alex2): r for lc, level in walk
+             for m2, r in level.items()}
+    hat = deflate_to_hat(BigradedRanks(ranks), k, top=-2 * k)
+    hat.ranks.update({(m2 - 2 * a2, -a2): r
+                      for (m2, a2), r in hat.ranks.items() if a2 < 0})
+    euler = dict.fromkeys(levels, 0)
+    for (m2, a2), r in inflate(hat, k).ranks.items():
+        euler[a2] = euler.get(a2, 0) + (-r if m2 // 2 % 2 else r)
+    for s, e in euler.items():
+        want = levels.get(s, (0, 0))[1]
+        if e != want:
+            raise InconsistentComplex(
+                f"Euler characteristic {e} at alex2 = {s} differs from the "
+                f"signed generator count {want}")
+    return hat
+
+
+def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
+    """Tilde homology ranks of every level: ``hat_ranks`` inflated by
+    (F2 + F2[-1,-1])^(n - l).  ``level_sizes`` is handed to
+    ``hat_ranks``."""
+    return inflate(hat_ranks(grid, max_generators, level_sizes),
+                   grid.n - count_components(grid))
 
 
 def state_sum(grid):

@@ -29,7 +29,6 @@ from gridhfk.homology import (
     BigradedRanks,
     build_level_complex,
     deflate_to_hat,
-    homology_ranks,
     inflate,
     verify_d2,
 )
@@ -38,6 +37,7 @@ from gridhfk.invariants import (
     bottom_group,
     genus2,
     hat_ranks,
+    homology_ranks,
     top_group,
 )
 from gridhfk.ledger import p_image, seed_entries

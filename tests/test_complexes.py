@@ -26,7 +26,6 @@ from gridhfk.grids import load_corpus
 from gridhfk.homology import (
     build_level_complex,
     build_two_step,
-    homology_ranks,
     induced_map_rank,
     induced_map_ranks,
     inflate,
@@ -35,7 +34,7 @@ from gridhfk.homology import (
     verify_d2,
     walk_levels,
 )
-from gridhfk.invariants import hat_ranks
+from gridhfk.invariants import hat_ranks, homology_ranks
 from gridhfk.rectangles import (
     MODE_FILTERED,
     MODE_LEVEL,
@@ -118,17 +117,22 @@ def test_generators_up_to_matches_filter():
 
 
 def _check_graded(calc, grading, targets, perms, values):
-    """The enumerator against a filter of all permutations, and its budget."""
-    want = perms[np.isin(values, list(targets))]
-    got = graded_generators(calc, grading, targets)
+    """The enumerator against a filter of all permutations, the grading
+    it hands back against the oracle's, and its budget."""
+    kept = np.isin(values, list(targets))
+    want = perms[kept]
+    got, got_values = graded_generators(calc, grading, targets)
     assert got.dtype == np.uint8 and got.shape == (len(want), calc.n)
     assert np.array_equal(got, want), (grading, targets)
+    assert got_values.dtype == np.int64
+    assert np.array_equal(got_values, values[kept]), (grading, targets)
     if len(want):
         with pytest.raises(GridResourceError):
             graded_generators(calc, grading, targets,
                               max_generators=len(want) - 1)
-    assert len(graded_generators(calc, grading, targets,
-                                 max_generators=len(want))) == len(want)
+    got, _ = graded_generators(calc, grading, targets,
+                               max_generators=len(want))
+    assert len(got) == len(want)
 
 
 def test_graded_generators_match_a_filter_of_all_permutations():
@@ -399,8 +403,7 @@ def _terms_from_cycles(calc, filt):
                             len(below), len(block))
         if not kern:
             continue
-        pair = graded_generators(calc, "maslov", {m2, m2 + 2})
-        pair_m2 = calc.maslov2_batch(pair)
+        pair, pair_m2 = graded_generators(calc, "maslov", {m2, m2 + 2})
         slice_gens = pair[pair_m2 == m2]
         outside = slice_gens[calc.alex2_batch(slice_gens) > filt.alex2]
         basis = np.concatenate([filt.gens[block], outside])

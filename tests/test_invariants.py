@@ -38,7 +38,6 @@ from gridhfk.homology import (
     BigradedRanks,
     build_two_step,
     deflate_to_hat,
-    homology_ranks,
     induced_map_ranks,
     inflate,
     two_step_from_levels,
@@ -50,6 +49,7 @@ from gridhfk.invariants import (
     bottom_group,
     genus2,
     hat_ranks,
+    homology_ranks,
     scan_bottom,
     state_sum,
     tau_bot_is_minus_g,
@@ -372,23 +372,39 @@ def test_tau_ranks_only_the_window_blocks_it_reads(monkeypatch):
     assert len(calls) == 0
 
 
-def test_scan_checks_each_level_euler_characteristic(monkeypatch):
-    """A level whose ranks do not sum, signed, to its signed generator
-    count raises InconsistentComplex, which the CLI reports as exit 1."""
-    right = homology.level_homology_ranks
+def test_overcounted_boundary_rank_raises_a_negative_homology_rank(monkeypatch):
+    """A boundary rank counted one too high makes a homology rank
+    negative, which raises InconsistentComplex, and the CLI reports it as
+    exit 1; so does a τ slice term made negative by an image counted too
+    large, which ``any`` would otherwise read as True."""
+    right = homology.gf2.matrix_rank
+    raised = []
 
-    def one_too_many(lc):
-        ranks = right(lc)
-        m2 = int(lc.maslov2[0])
-        return {**ranks, m2: ranks.get(m2, 0) + 1}
+    def first_one_too_many(*args):
+        rank = right(*args)
+        if rank and not raised:
+            raised.append(rank)
+            return rank + 1
+        return rank
 
-    monkeypatch.setattr(homology, "level_homology_ranks", one_too_many)
-    with pytest.raises(InconsistentComplex, match="Euler characteristic"):
-        bottom_group(corpus("trefoil5"))
+    monkeypatch.setattr(homology.gf2, "matrix_rank", first_one_too_many)
     err = io.StringIO()
-    assert run(["compute", "--window", "bottom", "corpus:trefoil5"],
+    assert run(["compute", "--window", "bottom", "corpus:knot_5_2_7"],
                out=io.StringIO(), err=err) == 1
-    assert err.getvalue().startswith("InconsistentComplex")
+    assert err.getvalue().startswith(
+        "InconsistentComplex: negative homology rank -1 at "
+        "(maslov2, alex2) = (-18, -14)")
+    raised.clear()
+    with pytest.raises(InconsistentComplex, match="negative homology rank"):
+        bottom_group(corpus("knot_5_2_7"))
+    monkeypatch.undo()
+
+    scan = scan_bottom(mirror(corpus("hopf_plus4")))
+    monkeypatch.setattr(homology.gf2, "image_in_prefix",
+                        lambda rows, cols, n_rows, n_cols, prefix:
+                        range(prefix + 1))
+    with pytest.raises(InconsistentComplex, match="negative slice term"):
+        scan.tau_extremal()
 
 
 def test_scan_refuses_the_level_over_budget_before_its_boundary(monkeypatch):

@@ -290,15 +290,18 @@ def test_shift_left_matches_python_int_shifts(words):
 
 def _check_maslov_table_against_all_states(calc, slices, pair):
     """The attained maslov2 values, and the generators of each of
-    ``slices`` and of the slice set ``pair``, are those of the n! states,
-    in lexicographic order; a budget one short of the pair raises."""
+    ``slices`` and of the slice set ``pair`` with their maslov2, are
+    those of the n! states, in lexicographic order; a budget one short
+    of the pair raises."""
     perms = generators.enumerate_all(calc)
     m2 = calc.maslov2_batch(perms)
     assert generators.graded_levels(calc, "maslov") == np.unique(m2).tolist()
     for targets in [[level] for level in slices] + [pair]:
-        got = generators.graded_generators(calc, "maslov", targets)
+        got, values = generators.graded_generators(calc, "maslov", targets)
+        kept = np.isin(m2, targets)
         assert got.dtype == np.uint8
-        assert np.array_equal(got, perms[np.isin(m2, targets)])
+        assert np.array_equal(got, perms[kept])
+        assert np.array_equal(values, m2[kept])
     with pytest.raises(GridResourceError):
         generators.graded_generators(calc, "maslov", pair,
                                      int(np.isin(m2, pair).sum()) - 1)

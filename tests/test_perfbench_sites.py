@@ -113,8 +113,10 @@ def test_tracer_installs_records_and_removes(spans):
     assert all(vars(owner)[attr] is original
                for (owner, attr), original in zip(sites, before))
     names = {s["name"] for s in tracer.spans}
-    assert {"homology.homology_ranks", "homology.build_level_complex",
+    assert {"invariants.hat_ranks", "homology.build_level_complex",
             "rectangles.boundary_entries", "gf2.matrix_rank"} <= names
+    # The hat table is built once and never divided back from the tilde.
+    assert "homology.homology_ranks" not in names
     assert "generators.generators_in_level" not in names
     assert not any(s["counts"]["empty"] for s in tracer.spans
                    if s["name"] == "homology.build_level_complex")
@@ -136,8 +138,10 @@ def traced_run(spans, argv):
 
 def test_traced_compute_grades_each_state_once(spans):
     # Only the tail, the levels up to -2(n - l), is enumerated and
-    # graded, each of its states once by each grader; the 5! states are
-    # never streamed, and no level above the tail is built.
+    # graded: its enumeration hands back each state's alex2, so no state
+    # goes through the Alexander grader, and each level's states go once
+    # through the Maslov grader; the 5! states are never streamed, and
+    # no level above the tail is built.
     g = load_corpus("trefoil5")
     k = g.n - oracle_components(g.x_cols, g.o_cols)
     tail = Counter(a2 for a2 in (oracle_alex2(g.x_cols, g.o_cols, p)
@@ -147,9 +151,8 @@ def test_traced_compute_grades_each_state_once(spans):
     for argv in (["compute", "corpus:trefoil5"],
                  ["compute", "--hat", "corpus:trefoil5"]):
         records = traced_run(spans, argv)
-        for batch in ("gradings.alex2_batch", "gradings.maslov2_batch"):
-            assert sum(counts["rows"] for name, _, counts in records
-                       if name == batch) == sum(tail.values()), (argv, batch)
+        assert not any(name == "gradings.alex2_batch"
+                       for name, _, _ in records), argv
         assert sorted(counts["rows"] for name, _, counts in records
                       if name == "gradings.maslov2_batch") == sorted(
                           tail.values()), argv
@@ -174,10 +177,10 @@ def test_traced_murasugi_scans_each_link_once(spans):
     # link's tail is one level after simplification.  The Legendrian
     # front answers τ for trefoil5, which grades its level only; the
     # hopf_plus4 summand and the sum are links, whose τ stops at its
-    # first slice and grades the slice pair too.  So every link takes one
-    # calculator, and there are five Maslov gradings.  The boundary
-    # passes are one per block pair of the scanned levels (two in all)
-    # and one per computed τ slice (two).
+    # first slice, whose pair comes graded from its enumeration.  So every
+    # link takes one calculator, and there are three Maslov gradings, one
+    # per scanned level.  The boundary passes are one per block pair of
+    # the scanned levels (two in all) and one per computed τ slice (two).
     tracer = spans.Tracer()
     tracer.install(gridhfk)
     try:
@@ -192,7 +195,7 @@ def test_traced_murasugi_scans_each_link_once(spans):
     assert names["gradings.calculator_init"] == 3
     assert names["generators.generators_up_to"] == 0
     assert names["rectangles.boundary_entries"] == 4
-    assert names["gradings.maslov2_batch"] == 5
+    assert names["gradings.maslov2_batch"] == 3
     assert "invariants.genus2" not in names
 
 

@@ -73,7 +73,6 @@ from .ledger import (
 from .murasugi import (
     CaseSide,
     cable_top_group_predict,
-    checked_mirror_scan,
     load_case,
     make_connected_sum_case,
     mirror_scans,
@@ -224,17 +223,18 @@ def cmd_murasugi(args, report, out) -> int:
         gb, path_b = _grid_input(args.connect[1], "summand2", report)
         # Each summand declares its doubled genus, read off the scan of
         # its mirror (a link and its mirror share the genus), which both
-        # theorem checks then reuse.
-        scans = [scan_bottom(mirror(g), args.max_generators)
-                 for g in (ga, gb)]
-        side_a = CaseSide(ga, -scans[0].group.alex2, path_a.stem)
-        side_b = CaseSide(gb, -scans[1].group.alex2, path_b.stem)
+        # theorem checks then reuse; equal grids share one scan.
+        by_grid = {}
+        for g in (ga, gb):
+            if g not in by_grid:
+                by_grid[g] = scan_bottom(mirror(g), args.max_generators)
+        side_a = CaseSide(ga, -by_grid[ga].group.alex2, path_a.stem)
+        side_b = CaseSide(gb, -by_grid[gb].group.alex2, path_b.stem)
         case = make_connected_sum_case(
             f"{path_a.stem}#{path_b.stem}", side_a, side_b)
         case = dataclasses.replace(case, total=_working_side(
             case.total, "sum", report))
-        scans.append(checked_mirror_scan(case.total, "sum",
-                                         args.max_generators))
+        scans = mirror_scans(case, args.max_generators, by_grid)
         expect = {}
     else:
         if not args.case:

@@ -12,14 +12,19 @@ genus is minus the corrected bottom grading.
 
 Tau extremality asks whether the inclusion of the bottom filtration
 window, the generators at or below the scan's last level, induces a
-nonzero map on total homology.  For a knot the grid's Legendrian front
-answers first (``grids.legendrian_front``): Plamenevskaya's bound
-tb + |rot| <= 2τ - 1 and τ <= g make tb + |rot| + 1 = 2g on the
-mirror's front a proof of τ = -g, and no slice is listed.  Both fronts
-are checked against the bound on every knot τ call, which catches a
-scanned genus that is too low.  Links, and knots the front does not
-certify, compute the flag.  The window is the scanned tail, so τ runs
-on the scan's calculator and tail (``BottomScan.tau_extremal``).
+nonzero map on total homology.  Certificates that read only the scan
+and the grid's Legendrian fronts (``grids.legendrian_front``) answer
+first, and no slice is listed (``BottomScan._certified``): for an
+l-component link the bound tb + |rot| <= 2τ - l (Plamenevskaya for
+knots, Cavallo for links) and τ <= g make tb + |rot| + l = 2g on the
+mirror's front a proof of τ = -g; a knot of genus 0 has τ = 0 = -g;
+and the map preserves the Maslov grading, while the total homology
+sits in the doubled gradings 0, -2, ..., -2(l - 1), so a bottom group
+with no term there gives False.  Both fronts are checked against the
+bound on every τ call, which catches a scanned genus that is too low.
+Only the flags no certificate answers are computed
+(``BottomScan.tau_computed``).  The window is the scanned tail, so τ
+runs on the scan's calculator and tail.
 A one-level tail is the window itself, filtered boundary and all, so τ
 reads the block ranks the scan made; a longer tail is joined by
 ``homology.two_step_from_levels`` and its window blocks ranked with the
@@ -71,7 +76,9 @@ from .generators import (DEFAULT_MAX_GENERATORS, graded_generators,
 # Unused here, but perfbench's traced run wraps this name in this module.
 from .generators import enumerate_all  # noqa: F401
 from .gradings import GradingCalculator
-from .grids import GridDiagram, count_components, legendrian_front, mirror
+from .grids import GridDiagram, legendrian_front, mirror
+# Unused here, but perfbench's traced run wraps this name in this module.
+from .grids import count_components  # noqa: F401
 from .homology import (
     BigradedRanks,
     # Unused here, but perfbench's traced run wraps the three names marked
@@ -147,46 +154,68 @@ class BottomScan:
                              components=self.calc.components)
 
     def tau_extremal(self, max_generators=DEFAULT_MAX_GENERATORS):
-        """Whether τ_bot = -g for the scanned grid.
+        """Whether τ_bot = -g for the scanned grid: the certificates'
+        answer (``_certified``) when one applies, and otherwise the
+        computed one (``tau_computed``), so a slice is listed only when
+        no certificate answers."""
+        certified = self._certified()
+        if certified is None:
+            return self.tau_computed(max_generators)
+        return certified
 
-        For a knot, the Legendrian front of the mirror is read first
-        (``_front_certifies``): when it proves τ = -g, the answer is True
-        and no slice is listed.  Otherwise, and for every link, the answer
-        is computed: True exactly when the subcomplex of the generators at
-        or below the last level, -genus2 - 2(n - l), includes into the
-        full filtered complex with a nonzero map on homology, that is,
-        some Maslov slice term of ``induced_map_ranks`` is positive, and
-        the slices stop at the first.
-        """
-        if self.calc.components == 1 and self._front_certifies():
-            return True
+    def tau_computed(self, max_generators=DEFAULT_MAX_GENERATORS):
+        """Whether τ_bot = -g, from the Maslov slices: True exactly when
+        the subcomplex of the generators at or below the last level,
+        -genus2 - 2(n - l), includes into the full filtered complex with
+        a nonzero map on homology, that is, some Maslov slice term of
+        ``induced_map_ranks`` is positive, and the slices stop at the
+        first."""
         filt = two_step_from_levels(self.calc, self.levels)
         return any(induced_map_ranks(self.calc, filt, max_generators))
 
-    def _front_certifies(self):
-        """Whether the mirror's Legendrian front proves τ = -g for the
-        scanned knot S; InconsistentComplex when either front breaks its
-        bound.
+    def _certified(self):
+        """The τ flag of the scanned link S with l components when a
+        certificate settles it, else None; InconsistentComplex when a
+        front breaks its bound or the certificates disagree.
 
-        Plamenevskaya's bound tb + |rot| <= 2τ - 1 holds for the front of
-        every grid of a knot, and τ <= g, so tb + |rot| + 1 <= 2g for
-        the fronts of S and of its mirror; a front past 2g means the
-        scan's genus is too low.  Equality on the mirror's front gives
-        τ(mirror S) = g, which is τ(S) = -g.  The two tb must sum to -n.
+        The link bound tb + |rot| <= 2τ - l (Cavallo; Plamenevskaya's
+        for knots) holds for the front of every grid of S, and τ is at
+        most half the doubled index genus2 = -alex2 of the bottom group,
+        so tb + |rot| + l <= genus2 for the fronts of S and of its
+        mirror; a front past genus2 means the scan's index is too low.
+        Equality on the mirror's front gives τ(mirror S) at its top,
+        which is τ(S) = -g: True.  A knot of genus 0 has |τ| <= g = 0:
+        True.  The flag asks whether the bottom level, whose homology is
+        the bottom group, includes with a nonzero map into the total
+        homology, which is supported in the doubled Maslov gradings
+        0, -2, ..., -2(l - 1); the map preserves the Maslov grading, so
+        a bottom group with no term there gives False.  The two tb
+        must sum to -n.
         """
-        genus2 = -self.group.alex2
+        group = self.group
+        l, genus2 = self.calc.components, -group.alex2
         tb, rot = legendrian_front(self.grid)
         tb_m, rot_m = legendrian_front(mirror(self.grid))
         if tb + tb_m != -self.calc.n:
             raise InconsistentComplex(
                 f"Thurston-Bennequin numbers {tb} and {tb_m} of a grid and "
                 f"its mirror do not sum to -n = {-self.calc.n}")
-        for bound in (tb + abs(rot) + 1, tb_m + abs(rot_m) + 1):
+        for bound in (tb + abs(rot) + l, tb_m + abs(rot_m) + l):
             if bound > genus2:
                 raise InconsistentComplex(
-                    f"a Legendrian front gives tb + |rot| + 1 = {bound}, "
+                    f"a Legendrian front gives tb + |rot| + {l} = {bound}, "
                     f"above the scanned doubled genus {genus2}")
-        return tb_m + abs(rot_m) + 1 == genus2
+        proved = tb_m + abs(rot_m) + l == genus2 or (l == 1 and genus2 == 0)
+        supported = any(-2 * (l - 1) <= m2 <= 0
+                        for m2 in group.poincare.coeffs)
+        if proved and not supported:
+            raise InconsistentComplex(
+                f"τ = -g is proved, but the bottom group "
+                f"{group.poincare.coeffs} has no term in the Maslov "
+                f"gradings of the total homology")
+        if proved:
+            return True
+        return None if supported else False
 
 
 def scan_bottom(grid, max_generators=DEFAULT_MAX_GENERATORS):
@@ -270,6 +299,19 @@ def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
     dict that receives the number of generators of every non-empty
     level, in increasing alex2.
     """
+    return _checked_tables(grid, max_generators, level_sizes)[0]
+
+
+def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
+    """Tilde homology ranks of every level: ``hat_ranks`` inflated by
+    (F2 + F2[-1,-1])^(n - l), the table its Euler check read.
+    ``level_sizes`` is handed on as in ``hat_ranks``."""
+    return _checked_tables(grid, max_generators, level_sizes)[1]
+
+
+def _checked_tables(grid, max_generators, level_sizes):
+    """The hat table of ``hat_ranks`` and its inflated tilde table, whose
+    Euler characteristics were checked."""
     calc = GradingCalculator(grid)
     k = calc.n - calc.components
     levels = level_counts(calc)
@@ -289,8 +331,9 @@ def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
     hat = deflate_to_hat(BigradedRanks(ranks), k, top=-2 * k)
     hat.ranks.update({(m2 - 2 * a2, -a2): r
                       for (m2, a2), r in hat.ranks.items() if a2 < 0})
+    tilde = inflate(hat, k)
     euler = dict.fromkeys(levels, 0)
-    for (m2, a2), r in inflate(hat, k).ranks.items():
+    for (m2, a2), r in tilde.ranks.items():
         euler[a2] = euler.get(a2, 0) + (-r if m2 // 2 % 2 else r)
     for s, e in euler.items():
         want = levels.get(s, (0, 0))[1]
@@ -298,15 +341,7 @@ def hat_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
             raise InconsistentComplex(
                 f"Euler characteristic {e} at alex2 = {s} differs from the "
                 f"signed generator count {want}")
-    return hat
-
-
-def homology_ranks(grid, max_generators=DEFAULT_MAX_GENERATORS, level_sizes=None):
-    """Tilde homology ranks of every level: ``hat_ranks`` inflated by
-    (F2 + F2[-1,-1])^(n - l).  ``level_sizes`` is handed to
-    ``hat_ranks``."""
-    return inflate(hat_ranks(grid, max_generators, level_sizes),
-                   grid.n - count_components(grid))
+    return hat, tilde
 
 
 def state_sum(grid):

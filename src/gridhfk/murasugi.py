@@ -17,13 +17,15 @@ Checks implemented:
   * a cable prediction for the top group of the (p,q) cable of a knot.
 
 Both checks run in sequence on one scan per link: the bottom scan of
-its mirror (``mirror_scans``, or ``checked_mirror_scan`` one link at a
-time), which a caller makes once and hands to both.  The scan gives the
-link's bottom group by the hat symmetry (``ExtremalGroup.mirrored``)
-for the first check, and τ_top for the second, whose filtration window
-is the scanned tail.  For a knot, the Legendrian front of the grid
-answers τ_top = g before any Maslov slice is listed, whenever
-tb + |rot| + 1 = 2g proves it (``BottomScan.tau_extremal``).
+its mirror (``mirror_scans``), which a caller makes once and hands to
+both; sides with equal grids share it.  The scan gives the link's
+bottom group by the hat symmetry (``ExtremalGroup.mirrored``) for the
+first check, and τ_top for the second, whose filtration window is the
+scanned tail.  Certificates answer τ_top before any Maslov slice is
+listed (``BottomScan.tau_extremal``): the Legendrian front of the grid
+proves τ_top = g when tb + |rot| + l is the doubled index, a knot of
+genus 0 has it, and a top group with no term in the Maslov gradings of
+the total homology rules it out.
 Declared indices are cross-checked against the computed bottom Alexander
 levels; a disagreement raises IndexMismatch (the declared surface cannot
 have been minimal) instead of reporting a verdict.
@@ -132,33 +134,32 @@ class VerificationReport:
         }
 
 
-def checked_mirror_scan(side: CaseSide, label: str,
-                        max_generators=DEFAULT_MAX_GENERATORS) -> BottomScan:
-    """The bottom scan of one side's mirror; IndexMismatch unless the
-    side's bottom group, read off it, sits at minus the declared index.
-    A link and its mirror have the same genus, so the scanned group's
-    level is the side's."""
-    scan = scan_bottom(mirror(side.grid), max_generators)
-    alex2 = scan.group.alex2
-    if alex2 != -side.index2:
-        raise IndexMismatch(
-            f"{label}: computed bottom Alexander level {alex2} does "
-            f"not equal minus the declared doubled index {side.index2}; "
-            f"the declared surface is not minimal")
-    return scan
-
-
-def mirror_scans(case: MurasugiCase,
-                 max_generators=DEFAULT_MAX_GENERATORS) -> list:
+def mirror_scans(case: MurasugiCase, max_generators=DEFAULT_MAX_GENERATORS,
+                 scans=None) -> list:
     """Mirror scans of summand1, summand2 and the sum, in that order.
 
-    Each declared index is checked against its scan as soon as that
-    scan is made; a disagreement raises IndexMismatch.
+    Sides with equal grids share one scan.  ``scans``, when given, maps a
+    grid to the scan of its mirror already made in the same command; a
+    side whose grid is in it is not scanned again, and new scans are
+    added to it.  Each side's declared index is checked against its
+    scan: a link and its mirror have the same genus, so the scanned
+    group's level is the side's, and a disagreement raises
+    IndexMismatch (the declared surface cannot have been minimal).
     """
-    return [checked_mirror_scan(side, label, max_generators)
-            for side, label in ((case.summand1, "summand1"),
-                                (case.summand2, "summand2"),
-                                (case.total, "sum"))]
+    scans = {} if scans is None else scans
+    found = []
+    for side, label in ((case.summand1, "summand1"),
+                        (case.summand2, "summand2"), (case.total, "sum")):
+        if side.grid not in scans:
+            scans[side.grid] = scan_bottom(mirror(side.grid), max_generators)
+        alex2 = scans[side.grid].group.alex2
+        if alex2 != -side.index2:
+            raise IndexMismatch(
+                f"{label}: computed bottom Alexander level {alex2} does "
+                f"not equal minus the declared doubled index {side.index2}; "
+                f"the declared surface is not minimal")
+        found.append(scans[side.grid])
+    return found
 
 
 def _shifted(group: ExtremalGroup, components: int) -> LaurentPoly:

@@ -14,7 +14,15 @@ from pathlib import Path
 import pytest
 
 from gridhfk.cli import DEFAULT_LEDGER, run
-from gridhfk.grids import corpus_case_path, corpus_path, load_corpus
+from gridhfk.grids import (
+    connected_sum,
+    corpus_case_path,
+    corpus_path,
+    load_corpus,
+    mirror,
+    simplify,
+)
+from gridhfk.invariants import scan_bottom
 
 from oracle import (
     oracle_alex2,
@@ -188,33 +196,43 @@ def test_murasugi_connect():
     assert out.count("pass") == 2
 
 
+# A 3-component link whose τ_top flag no certificate answers, so the
+# murasugi commands that sum it compute that flag from Maslov slices.
+UNCERTIFIED = str(Path(__file__).parent / "data" / "tau_uncertified7.grid")
+
+
 def test_murasugi_resource_bound_is_exit_3():
-    # Hopf links, so every τ flag is computed.  The sum runs on a 6-grid,
-    # and its τ stops at the first Maslov slice that survives, but
-    # listing that slice and the one above it (5 + 41 states) passes the
-    # budget; 46 would do.
-    code, out, err = invoke("--max-generators", "45", "murasugi",
-                            "--connect", "corpus:hopf_plus4",
-                            "corpus:hopf_plus4")
+    # The summand, simplified to a 6-grid, and the sum with unknot3, which
+    # is the same link, have a τ_top that no certificate answers, so it is
+    # computed.  Its only needed Maslov slice and the one above it hold
+    # 39 + 117 states, so listing them passes the budget of 155; 156 would
+    # do, and the scanned levels are smaller.
+    code, out, err = invoke("--max-generators", "155", "murasugi",
+                            "--connect", UNCERTIFIED, "corpus:unknot3")
     assert code == 3 and not out
     assert len(err.strip().splitlines()) == 1
     assert "GridResourceError" in err
-    assert invoke("--max-generators", "46", "murasugi", "--connect",
-                  "corpus:hopf_plus4", "corpus:hopf_plus4")[0] == 0
+    assert invoke("--max-generators", "156", "murasugi", "--connect",
+                  UNCERTIFIED, "corpus:unknot3")[0] == 0
 
 
 def test_murasugi_tau_lists_only_the_slices_it_visits():
-    # The sum is a link, simplified from n = 8 to 7, so its τ is computed
-    # and stops at its lowest needed Maslov slice, which contributes:
-    # that slice and the one above it hold 15 + 126 states.  The next
-    # needed slice and the one above it hold 126 + 453, and the full
-    # 7-grid 5 040, so a τ that went past its first slice, or listed its
-    # slices together, would pass the budget of 300.
+    # The sum is a link, simplified from n = 8 to 7.  The certificates
+    # answer its τ_top, so the command lists no slice.  Computed, its τ
+    # stops at its lowest needed Maslov slice, which contributes: that
+    # slice and the one above it hold 15 + 126 states.  The next needed
+    # slice and the one above it hold 126 + 453, and the full 7-grid
+    # 5 040, so a τ that went past its first slice, or listed its slices
+    # together, would pass the budget of 300.
     code, out, err = invoke("--max-generators", "300", "murasugi",
                             "--connect", "corpus:trefoil5",
                             "corpus:hopf_plus4")
     assert code == 0 and not err
     assert out.count("pass") == 2
+    total = simplify(connected_sum(load_corpus("trefoil5"),
+                                   load_corpus("hopf_plus4")))
+    assert total.n == 7
+    assert scan_bottom(mirror(total), 300).tau_computed(300)
 
 
 def test_murasugi_tau_stays_within_a_budget_below_n_factorial():
@@ -362,10 +380,11 @@ def test_memory_error_is_exit_3(monkeypatch):
         raise MemoryError()
 
     # Both commands count rectangles: compute in the block pairs of its
-    # tail (knot_5_2_7's tail has a differential), murasugi in τ's slices.
+    # tail (knot_5_2_7's tail has a differential), murasugi in the block
+    # pair of its first scanned level, before its computed τ would.
     monkeypatch.setattr(gridhfk.homology, "boundary_entries", no_memory)
     for argv in (["compute", "corpus:knot_5_2_7"],
-                 ["murasugi", "corpus:hopf_plumbing_trefoil"]):
+                 ["murasugi", "--connect", UNCERTIFIED, "corpus:unknot3"]):
         code, _, err = invoke(*argv)
         assert code == 3
         assert err.startswith("MemoryError") and err.count("\n") == 1

@@ -8,6 +8,7 @@ Grading pairs are written (maslov2, alex2) in doubled coordinates.
 
 import dataclasses
 import io
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -71,6 +72,11 @@ from test_grids import random_grid
 @lru_cache(maxsize=None)
 def corpus(name):
     return load_corpus(name)
+
+
+# A 3-component link whose τ_bot flag is False and answered by no
+# certificate.
+UNCERTIFIED = make_grid([1, 0, 5, 4, 2, 6, 3], [0, 1, 3, 6, 5, 4, 2])
 
 
 HAT = {
@@ -140,6 +146,27 @@ def test_hat_is_stabilization_invariant():
 def test_unknot_tower_tilde_totals():
     for n in range(2, 6):
         assert homology_ranks(corpus(f"unknot{n}")).total_rank() == 2 ** (n - 1)
+
+
+def test_tilde_table_is_the_hat_inflated_once(monkeypatch):
+    """The tilde table is the hat inflated, the very table whose Euler
+    characteristics were checked: one product per call."""
+    right = invariants.inflate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return right(*args)
+
+    monkeypatch.setattr(invariants, "inflate", counted)
+    for name in ("trefoil5", "hopf_plus4", "knot_5_2_7"):
+        g = corpus(name)
+        calls.clear()
+        tilde = homology_ranks(g)
+        assert len(calls) == 1, name
+        k = g.n - count_components(g)
+        assert tilde == right(hat_ranks(g), k), name
+        assert len(calls) == 2, name
 
 
 def test_mirror_reflects_hat_ranks():
@@ -226,9 +253,8 @@ def test_genus_values_and_mirror_invariance():
 
 def computed_tau_flag(scan):
     """The τ flag of a scan from its Maslov slices, never from a
-    Legendrian front."""
-    filt = two_step_from_levels(scan.calc, scan.levels)
-    return any(induced_map_ranks(scan.calc, filt))
+    certificate."""
+    return scan.tau_computed()
 
 
 def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
@@ -399,7 +425,7 @@ def test_overcounted_boundary_rank_raises_a_negative_homology_rank(monkeypatch):
         bottom_group(corpus("knot_5_2_7"))
     monkeypatch.undo()
 
-    scan = scan_bottom(mirror(corpus("hopf_plus4")))
+    scan = scan_bottom(UNCERTIFIED)
     monkeypatch.setattr(homology.gf2, "image_in_prefix",
                         lambda rows, cols, n_rows, n_cols, prefix:
                         range(prefix + 1))
@@ -495,11 +521,14 @@ SLOW_PAIRS = {("knot_5_2_7", "torus_2_5_7"), ("knot_5_2_7", "knot_5_2_7")}
 
 
 def test_front_fires_on_the_corpus_knots_exactly_where_tau_is_extremal():
+    """The certificates answer both flags of every corpus knot: the front
+    (or genus 0, for the unknots) exactly where τ is extremal, and the
+    bottom group's Maslov support everywhere else."""
     for name, flags in TAU_FLAGS.items():
         g = corpus(name)
         if count_components(g) > 1:
             continue
-        fronts = tuple(scan_bottom(side)._front_certifies()
+        fronts = tuple(scan_bottom(side)._certified()
                        for side in (g, mirror(g)))
         assert fronts == flags, name
         assert tuple(computed_tau_flag(scan_bottom(side))
@@ -525,34 +554,83 @@ def test_front_certificate_implies_the_computed_flag():
     for g in grids + sums:
         for side in (g, mirror(g)):
             scan = scan_bottom(side)
-            if scan._front_certifies():
+            if scan._certified():
                 fired.append(g in sums)
                 assert computed_tau_flag(scan), side
     assert fired.count(True) == 8
     assert fired.count(False) > 20
 
 
-def test_front_never_answers_a_link(monkeypatch):
-    calls = []
-    right = invariants.legendrian_front
+def test_certificates_agree_with_the_computed_flag_and_the_oracle():
+    """Every flag a certificate answers equals the flag computed from the
+    Maslov slices, and the oracle's inclusion rank, on seeded random grids
+    with n = 4-7, knots and 2- and 3-component links, on both sides.  The
+    oracle runs on every certified side up to n = 5, on the first side of
+    each certificate kind at n = 6, and on the first certified side at
+    n = 7, which takes it over a second.  Each kind fires:
+    the front of a knot of positive genus, of a 2- and of a 3-component
+    link, genus 0, and the Maslov support of a knot's and of a 2- and a
+    3-component link's bottom group."""
+    rng = np.random.default_rng(61)
+    fired = Counter()
+    oracled = set()
+    for _ in range(150):
+        g = random_grid(rng, int(rng.integers(4, 8)))
+        l = count_components(g)
+        for side in (g, mirror(g)):
+            scan = scan_bottom(side)
+            certified = scan._certified()
+            if certified is None:
+                continue
+            assert certified == scan.tau_computed(), side
+            kind = ("support" if not certified else
+                    "genus 0" if l == 1 and scan.group.alex2 == 0 else
+                    "front")
+            fired[kind, l] += 1
+            seen = kind if side.n == 6 else "any"
+            if side.n <= 5 or (seen, side.n) not in oracled:
+                oracled.add((seen, side.n))
+                rank = oracle_inclusion_rank(side.x_cols, side.o_cols,
+                                             scan.levels[-1].alex2)
+                assert certified == (rank > 0), side
+    assert set(fired) == {("support", 1), ("support", 2), ("support", 3),
+                          ("genus 0", 1),
+                          ("front", 1), ("front", 2), ("front", 3)}
+    assert {(seen, n) for seen, n in oracled if n >= 6} == {
+        ("support", 6), ("genus 0", 6), ("front", 6), ("any", 7)}
 
-    def counted(grid):
-        calls.append(grid)
-        return right(grid)
 
-    monkeypatch.setattr(invariants, "legendrian_front", counted)
-    for name in ("hopf_plus4", "hopf_minus4"):
-        g = corpus(name)
-        assert (tau_bot_is_minus_g(g), tau_top_is_g(g)) == TAU_FLAGS[name]
-    assert calls == []
-    assert tau_top_is_g(corpus("trefoil5"))
-    assert len(calls) == 2
+def test_an_uncertified_flag_is_computed(monkeypatch):
+    """No certificate answers the τ flag of this 3-component 7-grid, whose
+    bottom group sits at doubled index 2 in Maslov gradings -6 and -4,
+    inside the window of the total homology: the flag is computed, False,
+    as the oracle's inclusion rank is 0."""
+    scan = scan_bottom(UNCERTIFIED)
+    group = scan.group
+    assert (group.alex2, group.poincare.coeffs) == (-2, {-6: 1, -4: 1})
+    assert scan._certified() is None
+    images = []
+    right = homology.gf2.image_in_prefix
+
+    def counted(*args):
+        images.append(args)
+        return right(*args)
+
+    monkeypatch.setattr(homology.gf2, "image_in_prefix", counted)
+    assert scan.tau_extremal() is False
+    assert len(images) == 1
+    g = UNCERTIFIED
+    assert oracle_inclusion_rank(g.x_cols, g.o_cols,
+                                 scan.levels[-1].alex2) == 0
 
 
 def test_a_genus_one_too_low_trips_the_front_bound():
-    """Both fronts must satisfy tb + |rot| + 1 <= 2g.  The scan of the
+    """Both fronts must satisfy tb + |rot| + l <= 2g.  The scan of the
     mirror of trefoil5 with its last level raised by one genus claims
-    2g = 0, which the trefoil's front (tb 1, rot 0) exceeds."""
+    2g = 0, which the trefoil's front (tb 1, rot 0) exceeds.  So do the
+    scans of the mirrors of the Hopf links with their last level raised
+    by two, against the Hopf link's front and l = 2.  Every τ call checks
+    the fronts, also of a link whose flag another certificate answers."""
     scan = scan_bottom(mirror(corpus("trefoil5")))
     assert scan.tau_extremal()
     last = scan.levels[-1]
@@ -560,6 +638,26 @@ def test_a_genus_one_too_low_trips_the_front_bound():
     with pytest.raises(InconsistentComplex,
                        match="tb [+] [|]rot[|] [+] 1 = 2, above the scanned "
                              "doubled genus 0"):
+        scan.tau_extremal()
+    for name in ("hopf_plus4", "hopf_minus4"):
+        scan = scan_bottom(mirror(corpus(name)))
+        assert scan.tau_extremal() == TAU_FLAGS[name][1]
+        last = scan.levels[-1]
+        scan.levels[-1] = dataclasses.replace(last, alex2=last.alex2 + 4)
+        with pytest.raises(InconsistentComplex,
+                           match="tb [+] [|]rot[|] [+] 2 = 2, above the "
+                                 "scanned doubled genus -2"):
+            scan.tau_extremal()
+
+
+def test_a_proof_against_the_maslov_support_raises():
+    """The front of trefoil5's mirror proves τ_top = g, so the bottom
+    group of that mirror has a term in Maslov grading 0; moved two
+    gradings up, it has none, and the certificates disagree."""
+    scan = scan_bottom(mirror(corpus("trefoil5")))
+    assert scan._certified() is True
+    scan.ranks = {m2 + 2: r for m2, r in scan.ranks.items()}
+    with pytest.raises(InconsistentComplex, match="τ = -g is proved"):
         scan.tau_extremal()
 
 

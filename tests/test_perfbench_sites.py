@@ -171,21 +171,26 @@ def test_traced_bottom_window_enumerates_each_level_once(spans):
                               if name == "homology.build_level_complex")
 
 
+# A 3-component link whose τ_top flag no certificate answers.
+UNCERTIFIED = str(Path(__file__).parent / "data" / "tau_uncertified7.grid")
+
+
 def test_traced_murasugi_scans_each_link_once(spans):
     # One scan per link, of its mirror: it declares the summands'
     # indices, gives Theorem 1 the bottom groups and τ its tail.  Each
-    # link's tail is one level after simplification.  The Legendrian
-    # front answers τ for trefoil5, which grades its level only; the
-    # hopf_plus4 summand and the sum are links, whose τ stops at its
-    # first slice, whose pair comes graded from its enumeration.  So every
-    # link takes one calculator, and there are three Maslov gradings, one
-    # per scanned level.  The boundary passes are one per block pair of
-    # the scanned levels (two in all) and one per computed τ slice (two).
+    # link's tail is one level after simplification.  Genus 0 answers τ
+    # for unknot3, which grades its level only; no certificate answers
+    # the uncertified summand or its sum with the unknot, a different
+    # grid of the same link, so their τ stops at the first slice, whose
+    # pair comes graded from its enumeration.  So every link takes one
+    # calculator, and there are three Maslov gradings, one per scanned
+    # level.  The boundary passes are one per block pair of the scanned
+    # levels (two in all) and one per computed τ slice (two).
     tracer = spans.Tracer()
     tracer.install(gridhfk)
     try:
-        assert gridhfk.cli.run(["murasugi", "--connect", "corpus:trefoil5",
-                                "corpus:hopf_plus4"],
+        assert gridhfk.cli.run(["murasugi", "--connect", UNCERTIFIED,
+                                "corpus:unknot3"],
                                out=io.StringIO(), err=io.StringIO()) == 0
     finally:
         tracer.remove()
@@ -199,23 +204,35 @@ def test_traced_murasugi_scans_each_link_once(spans):
     assert "invariants.genus2" not in names
 
 
+def test_traced_murasugi_scans_equal_grids_once(spans):
+    # The two summands of trefoil5 # trefoil5 are one grid, so they share
+    # one scan and one calculator; the sum takes the other.
+    records = traced_run(spans, ["murasugi", "--connect", "corpus:trefoil5",
+                                 "corpus:trefoil5"])
+    names = Counter(name for name, _, _ in records)
+    assert names["gradings.calculator_init"] == 2
+    assert names["homology.build_level_complex"] == 2
+
+
 def test_traced_tau_images_only_the_slices_it_visits(spans):
-    # Hopf links, so τ is computed for every link, and it stops at the
-    # first Maslov slice that survives: one image for each summand and
-    # one for the sum (a 6-grid after simplification), whose lowest
-    # slice contributes.
-    records = traced_run(spans, ["murasugi", "--connect", "corpus:hopf_plus4",
-                                 "corpus:hopf_plus4"])
+    # The uncertified summand and its sum with the unknot compute τ, each
+    # from its one needed Maslov slice, and genus 0 answers the unknot:
+    # two images in all.
+    records = traced_run(spans, ["murasugi", "--connect", UNCERTIFIED,
+                                 "corpus:unknot3"])
     assert sum(1 for name, _, _ in records
-               if name == "gf2.image_in_prefix") == 3
+               if name == "gf2.image_in_prefix") == 2
 
 
 def test_traced_tau_of_fronted_knots_images_no_slice(spans):
     # The Legendrian fronts answer all three τ flags of trefoil5 #
-    # trefoil6, so no Maslov slice is listed and none is imaged.
-    records = traced_run(spans, ["murasugi", "--connect", "corpus:trefoil5",
-                                 "corpus:trefoil6"])
-    names = Counter(name for name, _, _ in records)
-    assert names["invariants.tau_top_is_g"] == 3
-    assert names["gf2.image_in_prefix"] == 0
+    # trefoil6, so no Maslov slice is listed and none is imaged; so do
+    # the link front and the Maslov support for the Hopf links of
+    # hopf_plus4 # hopf_minus4.
+    for pair in (("trefoil5", "trefoil6"), ("hopf_plus4", "hopf_minus4")):
+        records = traced_run(spans, ["murasugi", "--connect",
+                                     *(f"corpus:{name}" for name in pair)])
+        names = Counter(name for name, _, _ in records)
+        assert names["invariants.tau_top_is_g"] == 3, pair
+        assert names["gf2.image_in_prefix"] == 0, pair
 

@@ -21,6 +21,10 @@ its tree's ``src/``.  The set:
     hopf_plus4#trefoil5 (7 after simplification, ten levels).  This
     checkout's ``connected_sum`` writes their grid files once into a
     temporary directory, and both trees read those files;
+  * ``murasugi --connect`` on ``tests/data/tau_uncertified7.grid`` and
+    unknot3: no certificate answers the τ_top of that 3-component link
+    or of the sum, so both are computed from Maslov slices.  The grid is
+    copied into the temporary directory beside the sums;
   * the two ``cable --compare`` commands of the unknot's (2, +-3) cables;
   * ``ledger seed``, ``ledger p hopf_plus hopf_plus -trefoil``, ``ledger
     show`` and ``ledger add f8 --grid corpus:figure_eight6``, in that
@@ -61,6 +65,8 @@ SUMS = [("trefoil5", "unknot3"), ("hopf_plus4", "hopf_minus4"),
 COMPUTE_SUMS = [("trefoil5", "trefoil5"), ("knot_5_2_7", "trefoil5"),
                 ("hopf_plus4", "trefoil5")]
 
+UNCERTIFIED = ROOT / "tests" / "data" / "tau_uncertified7.grid"
+
 CABLES = [("3", "trefoil5"), ("-3", "trefoil_left5")]
 
 LEDGER = "<ledger>"  # each run puts its own ledger file's path here
@@ -73,9 +79,10 @@ MAX_COMPUTE_N = 7
 COMPARED = ("code", "stderr", "results", "generator_counts", "grid_sizes")
 
 
-def command_set(corpus_sizes, sum_paths):
+def command_set(corpus_sizes, grid_paths):
     """The argument lists, given {corpus grid name: n} and the grid files
-    of COMPUTE_SUMS."""
+    of ``write_grids``."""
+    *sum_paths, uncertified = grid_paths
     commands = [["murasugi", f"corpus:{case}"] for case in CASES]
     commands += [["murasugi", "--connect", a, b] for a, b in SUMS]
     for name, n in sorted(corpus_sizes.items()):
@@ -84,6 +91,7 @@ def command_set(corpus_sizes, sum_paths):
                          ["compute", "--window", "bottom", name]]
     for path in sum_paths:
         commands += [["compute", path], ["compute", "--hat", path]]
+    commands.append(["murasugi", "--connect", uncertified, "unknot3"])
     commands += [["cable", "unknot3", "--p", "2", "--q", q, "--compare", knot]
                  for q, knot in CABLES]
     commands += [["ledger", "--file", LEDGER, *sub] for sub in LEDGER_COMMANDS]
@@ -104,9 +112,10 @@ def _comparable(value, marks):
     return value
 
 
-def write_sums(directory):
+def write_grids(directory):
     """Write the grids of COMPUTE_SUMS, spliced by this checkout's
-    ``connected_sum`` from its corpus, into ``directory``; their paths."""
+    ``connected_sum`` from its corpus, and a copy of UNCERTIFIED into
+    ``directory``; their paths, UNCERTIFIED's last."""
     sys.path.insert(0, str(ROOT / "src"))
     from gridhfk.grids import connected_sum, format_grid, load_grid
 
@@ -118,10 +127,12 @@ def write_sums(directory):
         path = Path(directory) / f"{a}#{b}.grid"
         path.write_text(format_grid(grid), encoding="utf-8")
         paths.append(str(path))
-    return paths
+    path = Path(directory) / UNCERTIFIED.name
+    path.write_text(UNCERTIFIED.read_text(encoding="utf-8"), encoding="utf-8")
+    return paths + [str(path)]
 
 
-def emit(tree, sum_paths):
+def emit(tree, grid_paths):
     """Run the command set with ``tree``'s package; print the answers."""
     sys.path.insert(0, str(tree / "src"))
     from gridhfk import cli
@@ -132,7 +143,7 @@ def emit(tree, sum_paths):
     with tempfile.TemporaryDirectory() as directory:
         ledger = str(Path(directory) / "ledger.json")
         marks = {ledger: LEDGER, str(tree): "<tree>"}
-        for argv in command_set(sizes, sum_paths):
+        for argv in command_set(sizes, grid_paths):
             out, err = io.StringIO(), io.StringIO()
             code = cli.run(["--json", *(ledger if a == LEDGER else a
                                         for a in argv)], out, err)
@@ -148,11 +159,11 @@ def emit(tree, sum_paths):
     json.dump(answers, sys.stdout)
 
 
-def _start(tree, sum_paths):
+def _start(tree, grid_paths):
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "HFK_CORPUS")}
     return subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
-                             "--emit", str(tree), *sum_paths],
+                             "--emit", str(tree), *grid_paths],
                             env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
 
@@ -182,8 +193,8 @@ def main(argv):
         print(f"{other} has no src/gridhfk", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as directory:
-        sum_paths = write_sums(directory)
-        runs = [_start(ROOT, sum_paths), _start(other, sum_paths)]
+        grid_paths = write_grids(directory)
+        runs = [_start(ROOT, grid_paths), _start(other, grid_paths)]
         done = [run.communicate() for run in runs]
     for tree, run, (_, err) in zip((ROOT, other), runs, done):
         if run.returncode != 0:

@@ -279,10 +279,9 @@ def cmd_ledger(args, report, out) -> int:
 
     if sub == "seed":
         added = []
-        for entry in seed_entries():
-            if entry.name not in ledger.entries:
-                ledger.add(entry)
-                added.append(entry.name)
+        for entry in seed_entries(skip=ledger.entries):
+            ledger.add(entry)
+            added.append(entry.name)
         save_ledger(ledger, ledger_path)
         report.results = {"added": added, "total": len(ledger.entries)}
         if not args.json:

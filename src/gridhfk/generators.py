@@ -23,10 +23,14 @@ little-endian uint64 words.  The table is filled from the full mask
 down, one column at a time: each mask ORs in its children's bitsets,
 each shifted left by the value its move adds.  Which moves each column
 holds does not depend on the grid, so ``_column_moves`` lists them once
-per n (an LRU cache holds the last few n).  Partial permutations grow
-column by column in numpy, and a partial is kept only when its mask's
-bitset meets the targets shifted down by its value, so no dead branch
-is entered and an empty level costs one table lookup.
+per n (an LRU cache holds the last few n), with each mask's position in
+its layer, and no routine here derives a move itself.  Partial
+permutations grow column by column in numpy: a partial is its mask's
+position and its value, its children, rows and new increasing pairs are
+gathered from the cached moves of that position, and a child is kept
+only when its mask's bitset meets the targets shifted down by its
+value, so no dead branch is entered and an empty level costs one table
+lookup.
 ``graded_levels`` reads the attained values off the same table.
 
 ``level_counts`` gives the size and the signed count (the Euler
@@ -34,8 +38,9 @@ characteristic) of every level without listing a generator, by the
 same pull from the full mask down over the same ``_column_moves``:
 each mask carries its completions' counts per sign parity, indexed by
 the halved Alexander offsets of the alex table, with the signs taken
-from ``maslov_terms()``, and a column is one gather and one sum (in
-fixed-size passes over parents), n steps in all.
+from ``maslov_terms()``, at its position in the flat array of its
+layer, and a column is one gather and one sum (in fixed-size passes
+over parents), n steps in all.
 
 Every enumeration routine takes a generator budget and raises
 GridResourceError once it would list more than that many rows: graded
@@ -97,26 +102,32 @@ def _completion_table(calc, grading):
 # One Murasugi check visits up to eight grid sizes in turn.
 @functools.lru_cache(maxsize=8)
 def _column_moves(n):
-    """The grid-free part of every completion table of size n.
+    """The grid-free part of every mask DP of size n: the completion
+    tables, the enumeration and the level counts.
 
-    Entry c is (layer, child, row, below): the int32 masks with c bits
-    set and, parent by parent, the moves that place a free row in
-    column c, as (len(layer), n - c) arrays of the int32 child mask,
-    the uint8 row and the uint8 count of parent rows below it (the
-    increasing pairs the move adds).
+    Returns (position, moves).  ``position`` is the int32 (2^n,) index
+    of each mask among the masks with as many bits set, in increasing
+    order, the full mask at 0 (4 MiB at n = 20).  Entry c of ``moves``
+    is (layer, child, row, below): the int32 masks with c bits set and,
+    parent by parent, the moves that place a free row in column c, as
+    (len(layer), n - c) arrays of the int32 child mask, the uint8 row,
+    in increasing order, and the uint8 count of parent rows below it
+    (the increasing pairs the move adds).
     """
     masks = np.arange(1 << n, dtype=np.int32)
     popcount = np.bitwise_count(masks)
     rows = np.arange(n, dtype=np.int32)
+    position = np.zeros(1 << n, dtype=np.int32)
     moves = []
     for c in range(n):
         layer = masks[popcount == c]
+        position[layer] = np.arange(len(layer))
         row = np.nonzero((layer[:, None] >> rows & 1) == 0)[1].astype(np.int32)
         row = row.reshape(len(layer), n - c)
         bit = 1 << row
         below = np.bitwise_count(layer[:, None] & (bit - 1))
         moves.append((layer, layer[:, None] | bit, row.astype(np.uint8), below))
-    return moves
+    return position, moves
 
 
 def _shift_left(words, bits):
@@ -146,7 +157,7 @@ def _build_completion_table(calc, grading):
     # 2^n masks fit in memory.
     reach = np.zeros((-(-width // 64), 1 << n), dtype=np.uint64)
     reach[0, -1] = 1
-    moves = _column_moves(n)
+    _, moves = _column_moves(n)
     for c in range(n - 1, -1, -1):
         layer, child, row, below = moves[c]
         bits = shift[c].astype(np.uint64)[row]
@@ -172,10 +183,12 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
     grades the rows again.  The permutations grow column by column:
     each alive partial expands into its free rows in increasing order,
     and a child lives on only when the completion table says some
-    completion lands in a target.  So every alive partial has a
-    completion, no column holds more partials than the result has rows,
-    and GridResourceError is raised as soon as a column holds more than
-    ``max_generators``, before the result is allocated.
+    completion lands in a target; the children, their rows and the
+    pairs they add are read from ``_column_moves``.  So every alive
+    partial has a completion, no column holds more partials than the
+    result has rows, and GridResourceError is raised as soon as a
+    column holds more than ``max_generators``, before the result is
+    allocated.
     """
     n = calc.n
     shift, base, inversions, width, reach = _completion_table(calc, grading)
@@ -191,33 +204,35 @@ def graded_generators(calc, grading, targets, max_generators=DEFAULT_MAX_GENERAT
     window = np.ndarray((width, span), dtype=bool, buffer=hits, strides=(1, 1))
     ahead = np.packbits(window, axis=1, bitorder="little").view("<u8").T.copy()
 
-    masks = np.zeros(1, dtype=np.int64)
+    position, moves = _column_moves(n)
+    # Each alive partial is its mask's position in its layer and its value.
+    at = np.zeros(1, dtype=np.int32)
     acc = np.zeros(1, dtype=np.int64)
-    rows = np.arange(n, dtype=np.int64)
     parents = []
     placed = []
     for c in range(n):
-        # Row-major nonzero lists the children parent by parent, each
-        # parent's in increasing row: lexicographic order, with no sort.
-        parent, row = np.nonzero((masks[:, None] >> rows & 1) == 0)
-        used = masks[parent]
-        child = used | 1 << row
-        value = acc[parent] + shift[c][row]
+        # The children parent by parent, each parent's in increasing row:
+        # lexicographic order, with no sort.  The masks are widened to
+        # intp once, as numpy casts an int32 index on every gather.
+        _, child, row, below = moves[c]
+        child, row = child[at].ravel().astype(np.intp), row[at].ravel()
+        value = np.repeat(acc, n - c) + shift[c][row]
         if inversions:
-            value += np.bitwise_count(used & ((1 << row) - 1))
+            value += below[at].ravel()
         alive = np.zeros(len(child), dtype=bool)
         for words, shifted in zip(reach, ahead):
             alive |= (words[child] & shifted[value]) != 0
-        masks, acc = child[alive], value[alive]
-        if len(masks) > max_generators:
+        keep = np.flatnonzero(alive)
+        at, acc = position[child[keep]], value[keep]
+        if len(at) > max_generators:
             raise GridResourceError(
-                f"enumeration of column {c} reached {len(masks)} partial "
+                f"enumeration of column {c} reached {len(at)} partial "
                 f"generators, over the budget {max_generators}",
-                estimate=len(masks))
-        parents.append(parent[alive])
-        placed.append(row[alive])
-    out = np.empty((len(masks), n), dtype=np.uint8)
-    index = np.arange(len(masks))
+                estimate=len(at))
+        parents.append(keep // (n - c))
+        placed.append(row[keep])
+    out = np.empty((len(at), n), dtype=np.uint8)
+    index = np.arange(len(at))
     for c in range(n - 1, -1, -1):
         out[:, c] = placed[c][index]
         index = parents[c][index]
@@ -258,12 +273,10 @@ def level_counts(calc):
     # in column c above k rows of the mask.
     flips = flip[:, :, None, None] + np.arange(n)[:, None] + np.arange(2)
     start = (pad - shift)[:, :, None, None] + half * (flips & 1)
-    moves = _column_moves(n)
-    # Where each mask's row begins in the flat array of its layer.
-    offset = np.empty(1 << n, dtype=np.int64)
-    for layer, *_ in moves:
-        offset[layer] = np.arange(0, 2 * half * len(layer), 2 * half)
-    offset[-1] = 0  # the full mask, alone in its layer
+    # A mask's row begins at its position times 2 half in the flat
+    # array of its layer; the int64 factor keeps the product from
+    # wrapping in int32.
+    position, moves = _column_moves(n)
     counts = np.zeros(2 * half, dtype=np.int64)
     counts[pad] = 1
     for c in range(n - 1, -1, -1):
@@ -272,7 +285,7 @@ def level_counts(calc):
                              buffer=counts, strides=(8, 8))
         out = np.zeros((len(layer), 2, half), dtype=np.int64)
         for p in range(0, len(layer), _PASS):
-            at = (offset[child[p:p + _PASS]][:, :, None]
+            at = (np.int64(2 * half) * position[child[p:p + _PASS]][:, :, None]
                   + start[c][row[p:p + _PASS], below[p:p + _PASS]])
             out[p:p + _PASS, :, pad:] = windows[at].sum(axis=1)
         counts = out.ravel()

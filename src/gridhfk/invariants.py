@@ -69,6 +69,7 @@ lists the n! generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GridResourceError, InconsistentComplex, NegativeIndex, NotAKnot
 from .generators import (DEFAULT_MAX_GENERATORS, graded_generators,
@@ -144,9 +145,10 @@ class BottomScan:
     ranks: dict
     grid: GridDiagram
 
-    @property
+    @cached_property
     def group(self):
-        """The scanned grid's bottom group, hat-shifted."""
+        """The scanned grid's bottom group, hat-shifted, built once per
+        scan."""
         shift = 2 * (self.calc.n - self.calc.components)
         poincare = LaurentPoly({m2 + shift: r for m2, r in self.ranks.items()})
         return ExtremalGroup(alex2=self.levels[-1].alex2 + shift,

@@ -298,12 +298,14 @@ SEED_NAMES = {
 }
 
 
-def seed_entries() -> list[LedgerEntry]:
-    """Computed entries for the bundled corpus plus the literature pair."""
+def seed_entries(skip=()) -> list[LedgerEntry]:
+    """Computed entries for the bundled corpus plus the literature pair,
+    but for the names in ``skip``, which are neither computed nor
+    returned."""
     from .grids import load_corpus
 
     entries = [entry_from_grid(name, load_corpus(corpus_name),
                                f"corpus:{corpus_name}.grid")
-               for name, corpus_name in SEED_NAMES.items()]
-    entries.extend(bundled_literature_entries())
+               for name, corpus_name in SEED_NAMES.items() if name not in skip]
+    entries.extend(e for e in bundled_literature_entries() if e.name not in skip)
     return entries

@@ -462,6 +462,29 @@ def test_ledger_seed_show_and_idempotence(ledger_file):
     assert json.loads(out)["results"]["added"] == []
 
 
+def test_ledger_reseed_computes_nothing_and_leaves_the_file(ledger_file,
+                                                           monkeypatch):
+    import gridhfk.ledger
+
+    computed = []
+    original = gridhfk.ledger.entry_from_grid
+
+    def counted(name, *args, **kwargs):
+        computed.append(name)
+        return original(name, *args, **kwargs)
+
+    monkeypatch.setattr(gridhfk.ledger, "entry_from_grid", counted)
+    code, out, _ = invoke("--json", "ledger", "--file", ledger_file, "seed")
+    assert code == 0 and len(json.loads(out)["results"]["added"]) == 10
+    assert len(computed) == 8
+    before = Path(ledger_file).read_bytes()
+    computed.clear()
+    code, out, _ = invoke("--json", "ledger", "--file", ledger_file, "seed")
+    assert code == 0 and json.loads(out)["results"]["added"] == []
+    assert computed == []
+    assert Path(ledger_file).read_bytes() == before
+
+
 def test_ledger_p_images(ledger_file):
     seeded(ledger_file)
     code, out, _ = invoke("ledger", "--file", ledger_file, "p",

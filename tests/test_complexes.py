@@ -643,10 +643,11 @@ def test_level_counts_check_their_total_is_n_factorial(monkeypatch):
     original = generators._column_moves
 
     def one_move_removed(n):
-        moves = list(original(n))
+        position, moves = original(n)
+        moves = list(moves)
         layer, child, row, below = moves[0]
         moves[0] = (layer, child[:, 1:], row[:, 1:], below[:, 1:])
-        return moves
+        return position, moves
 
     monkeypatch.setattr(generators, "_column_moves", one_move_removed)
     with pytest.raises(InconsistentComplex, match=r"sum to 96, not 5! = 120"):

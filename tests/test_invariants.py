@@ -273,6 +273,7 @@ def test_genus_agrees_with_mirror_and_top_group_on_random_grids():
         if g.n <= 5:
             scan = scan_bottom(mirror(g))
             assert scan.group.mirrored() == bottom_group(g)
+            assert scan.group is scan.group  # built once per scan
             m = mirror(g)
             want = oracle_inclusion_rank(m.x_cols, m.o_cols,
                                          scan.levels[-1].alex2) > 0
@@ -633,21 +634,25 @@ def test_a_genus_one_too_low_trips_the_front_bound():
     the fronts, also of a link whose flag another certificate answers."""
     scan = scan_bottom(mirror(corpus("trefoil5")))
     assert scan.tau_extremal()
-    last = scan.levels[-1]
-    scan.levels[-1] = dataclasses.replace(last, alex2=last.alex2 + 2)
     with pytest.raises(InconsistentComplex,
                        match="tb [+] [|]rot[|] [+] 1 = 2, above the scanned "
                              "doubled genus 0"):
-        scan.tau_extremal()
+        _last_level_raised(scan, 2).tau_extremal()
     for name in ("hopf_plus4", "hopf_minus4"):
         scan = scan_bottom(mirror(corpus(name)))
         assert scan.tau_extremal() == TAU_FLAGS[name][1]
-        last = scan.levels[-1]
-        scan.levels[-1] = dataclasses.replace(last, alex2=last.alex2 + 4)
         with pytest.raises(InconsistentComplex,
                            match="tb [+] [|]rot[|] [+] 2 = 2, above the "
                                  "scanned doubled genus -2"):
-            scan.tau_extremal()
+            _last_level_raised(scan, 4).tau_extremal()
+
+
+def _last_level_raised(scan, by):
+    """A new scan, its group not yet built, whose last level sits ``by``
+    higher than that of ``scan``."""
+    last = scan.levels[-1]
+    levels = scan.levels[:-1] + [dataclasses.replace(last, alex2=last.alex2 + by)]
+    return dataclasses.replace(scan, levels=levels)
 
 
 def test_a_proof_against_the_maslov_support_raises():
@@ -656,7 +661,8 @@ def test_a_proof_against_the_maslov_support_raises():
     gradings up, it has none, and the certificates disagree."""
     scan = scan_bottom(mirror(corpus("trefoil5")))
     assert scan._certified() is True
-    scan.ranks = {m2 + 2: r for m2, r in scan.ranks.items()}
+    # A new scan, since the group is built once per scan.
+    scan = dataclasses.replace(scan, ranks={m2 + 2: r for m2, r in scan.ranks.items()})
     with pytest.raises(InconsistentComplex, match="τ = -g is proved"):
         scan.tau_extremal()
 

@@ -7,7 +7,8 @@ into a restricted target basis, against the rectangle oracle, and on
 an n = 20 pair whose int64 keys collide; boundary entries of the same
 rows in uint8, int16 and int64, and their refusal past n = 256; every
 mask of the completion
-tables against a brute-force completion, and the multi-word tables of
+tables against a brute-force completion, the position of every mask
+in its layer, and the multi-word tables of
 grids of size 8-10 against all n! states; and ``verify_d2`` against a
 boundary with one entry flipped.
 """
@@ -274,6 +275,20 @@ def test_completion_tables_match_brute_force_on_every_mask():
                     assert got == want, (n, grading, mask)
         info = generators._column_moves.cache_info()
         assert info.misses == 1 and info.hits == 3
+
+
+def test_column_moves_give_each_mask_its_position_in_its_layer():
+    """For n = 2..12, the masks of each column's layer sit at positions
+    0 .. len(layer) - 1, the full mask at 0, and every parent's free
+    rows come in increasing order, the order the enumeration lists."""
+    for n in range(2, 13):
+        position, moves = generators._column_moves(n)
+        assert position.dtype == np.int32 and position.shape == (1 << n,)
+        assert position[(1 << n) - 1] == 0
+        for layer, child, row, below in moves:
+            assert position[layer].tolist() == list(range(len(layer)))
+            assert (np.diff(row.astype(np.int16), axis=1) > 0).all()
+        assert sum(len(layer) for layer, *_ in moves) + 1 == 1 << n
 
 
 @pytest.mark.parametrize("words", [1, 2, 3, 4, 5])

@@ -3,7 +3,7 @@
 
     python3 tools/frontier_pairs.py OTHER_CHECKOUT
 
-Each of three pairs runs three jobs, each once with this checkout's
+Each of three pairs runs four jobs, each once with this checkout's
 package and once with OTHER_CHECKOUT's, in that order, every run in a
 fresh subprocess that imports ``gridhfk`` from its tree's ``src/`` and
 caps its own address space at 4 GB (``RLIMIT_AS``):
@@ -11,6 +11,10 @@ caps its own address space at 4 GB (``RLIMIT_AS``):
   * ``bottom_group`` of ``tests/data/splice20.grid`` (this checkout's
     file, read by both trees);
   * ``top_group`` of the same grid;
+  * ``level_enumeration``: ``generators_in_level`` of the mirror of the
+    same grid at alex2 -52, the first level of that side with homology
+    (268 339 rows), answered by the row count and the sha256 of the
+    rows, so the enumeration's own cost is timed apart from the scan;
   * ``murasugi --connect corpus:figure_eight6 corpus:trefoil5`` through
     ``gridhfk.cli.run``, the dense τ call, compared by exit code,
     standard error and the report's ``results`` without wall times.
@@ -24,6 +28,7 @@ benchmark's workloads hold, so their figures are read from here.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -37,7 +42,8 @@ from compare_answers import _comparable
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID = ROOT / "tests" / "data" / "splice20.grid"
-JOBS = ("bottom_group", "top_group", "murasugi")
+JOBS = ("bottom_group", "top_group", "level_enumeration", "murasugi")
+LEVEL = -52
 MURASUGI = ["--json", "murasugi", "--connect", "corpus:figure_eight6",
             "corpus:trefoil5"]
 ADDRESS_SPACE = 4 << 30
@@ -49,7 +55,9 @@ def emit(tree, job):
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     sys.path.insert(0, str(tree / "src"))
     from gridhfk import cli, invariants
-    from gridhfk.grids import load_grid
+    from gridhfk.generators import generators_in_level
+    from gridhfk.gradings import GradingCalculator
+    from gridhfk.grids import load_grid, mirror
 
     start = time.perf_counter()
     if job == "murasugi":
@@ -59,6 +67,10 @@ def emit(tree, job):
         marks = {str(tree): "<tree>"}
         answer = [code, _comparable(err.getvalue(), marks),
                   _comparable(report.get("results"), marks)]
+    elif job == "level_enumeration":
+        calc = GradingCalculator(mirror(load_grid(GRID)))
+        rows = generators_in_level(calc, LEVEL)
+        answer = [len(rows), hashlib.sha256(rows.tobytes()).hexdigest()]
     else:
         group = getattr(invariants, job)(load_grid(GRID))
         answer = [group.alex2, sorted(group.poincare.coeffs.items())]
@@ -100,7 +112,7 @@ def main(argv):
                     print(exc, file=sys.stderr)
                     return 2
                 runs[job, name].append(run)
-                print(f"pair {pair}  {job:<12} {name:<5}  "
+                print(f"pair {pair}  {job:<17} {name:<5}  "
                       f"{run['wall_s']:7.3f} s  {run['rss_mb']:6.1f} MB",
                       flush=True)
     differ = False
@@ -113,7 +125,7 @@ def main(argv):
         for name in trees:
             walls = [run["wall_s"] for run in runs[job, name]]
             rss = [run["rss_mb"] for run in runs[job, name]]
-            print(f"{job:<12} {name:<5}  {min(walls):.3f}-{max(walls):.3f} s  "
+            print(f"{job:<17} {name:<5}  {min(walls):.3f}-{max(walls):.3f} s  "
                   f"{min(rss):.1f}-{max(rss):.1f} MB")
     return 1 if differ else 0
 
